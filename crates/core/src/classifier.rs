@@ -134,9 +134,16 @@ impl<V> Classifier<V> {
     }
 
     /// Insert a rule. Replaces an identical (key, mask, priority) rule.
-    pub fn insert(&mut self, rule: Rule<V>) {
+    ///
+    /// Returns whether the insert changed the *probe set*: it created a
+    /// subtable or raised a subtable's `max_priority`. Only then can a
+    /// lookup of a key the rule does not match probe differently (and
+    /// so unite different wildcards); otherwise the rule can change only
+    /// lookups of keys it matches.
+    pub fn insert(&mut self, rule: Rule<V>) -> bool {
         let masked = Miniflow::from_key(&rule.key.masked(&rule.mask));
-        let idx = match self.subtables.iter().position(|s| s.mask == rule.mask) {
+        let found = self.subtables.iter().position(|s| s.mask == rule.mask);
+        let idx = match found {
             Some(i) => i,
             None => {
                 self.subtables.push(Subtable {
@@ -151,6 +158,7 @@ impl<V> Classifier<V> {
             }
         };
         let st = &mut self.subtables[idx];
+        let probes_changed = found.is_none() || rule.priority > st.max_priority;
         st.max_priority = st.max_priority.max(rule.priority);
         let bucket = st.rules.entry(masked).or_default();
         if let Some(existing) = bucket.iter_mut().find(|r| r.priority == rule.priority) {
@@ -164,6 +172,7 @@ impl<V> Classifier<V> {
         // Keep subtables ordered by descending max priority so lookups can
         // stop early (OVS's pvector).
         self.sort_subtables();
+        probes_changed
     }
 
     /// Sort the subtable vector: priority first (early-exit correctness),
@@ -439,6 +448,35 @@ mod tests {
         c.insert(rule([1, 1, 1, 1], 32, 5, 2));
         assert_eq!(c.len(), 1);
         assert_eq!(c.lookup(&key_dst([1, 1, 1, 1])).unwrap().value, 2);
+    }
+
+    #[test]
+    fn insert_reports_probe_set_changes() {
+        let mut c = Classifier::new();
+        // First rule into an empty classifier creates its subtable.
+        assert!(c.insert(rule([10, 0, 0, 0], 8, 5, 1)));
+        // A second mask is a new subtable, even at a lower priority.
+        assert!(c.insert(rule([10, 1, 0, 0], 16, 1, 2)));
+        // Same mask, higher priority: the /8 subtable's max rises.
+        assert!(c.insert(rule([11, 0, 0, 0], 8, 9, 3)));
+        // Same mask at or below the max: the probe set is unchanged.
+        assert!(!c.insert(rule([12, 0, 0, 0], 8, 9, 4)));
+        assert!(!c.insert(rule([13, 0, 0, 0], 8, 2, 5)));
+        // Exact replacement (same key, mask and priority) changes nothing
+        // but the rule's payload.
+        assert!(!c.insert(rule([11, 0, 0, 0], 8, 9, 6)));
+        assert_eq!(c.len(), 5);
+        assert_eq!(c.subtable_count(), 2);
+        assert_eq!(c.lookup(&key_dst([11, 2, 3, 4])).unwrap().value, 6);
+        let maxes: Vec<i32> = c.subtable_info().iter().map(|s| s.max_priority).collect();
+        assert_eq!(maxes, vec![9, 1]);
+    }
+
+    #[test]
+    fn insert_at_minimum_priority_still_reports_a_new_subtable() {
+        let mut c = Classifier::new();
+        assert!(c.insert(rule([10, 0, 0, 0], 8, i32::MIN, 1)));
+        assert!(!c.insert(rule([11, 0, 0, 0], 8, i32::MIN, 2)));
     }
 
     #[test]

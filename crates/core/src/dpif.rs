@@ -21,7 +21,7 @@
 use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
-use crate::ofproto::Ofproto;
+use crate::ofproto::{Ofproto, RuleChange};
 use crate::revalidator::{DeleteReason, Revalidator, SweepSummary, Ukey};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
@@ -748,39 +748,61 @@ impl DpifNetdev {
     }
 
     /// Install a batch of flows from `ovs-ofctl` text (one per line) and
-    /// selectively revalidate the caches. Returns the number of rules
-    /// installed.
+    /// revalidate the megaflows any rule of the batch can reach (see
+    /// [`flow_mod`](Self::flow_mod)), in one pass. Returns the number of
+    /// rules installed.
     pub fn add_flows(&mut self, text: &str) -> Result<usize, crate::ofctl::ParseError> {
         let rules = crate::ofctl::parse_flows(text)?;
-        let n = rules.len();
-        for r in rules {
-            self.ofproto.add_rule(r);
-        }
-        self.revalidate_changed();
-        Ok(n)
+        let changes: Vec<RuleChange> = rules
+            .into_iter()
+            .map(|r| self.ofproto.add_rule(r))
+            .collect();
+        self.retranslate(Some(&changes));
+        Ok(changes.len())
     }
 
     /// Install or modify an OpenFlow rule at runtime and **selectively
-    /// revalidate**: every cached megaflow is re-translated against the
-    /// updated tables and only the flows whose translation actually
-    /// changed are deleted — OVS revalidator semantics, replacing the
-    /// old flush-the-world behaviour. Unaffected flows keep their cache
-    /// entries (and their hit streaks).
+    /// revalidate**: only the megaflows the new rule can reach are
+    /// re-translated — those whose translation looked up the rule's table
+    /// while the flow agreed with the rule's match on the fields the flow
+    /// examined, or every flow that looked it up when the insert changed
+    /// the table's probe set (`Ukey::reached_by`). Candidates whose
+    /// translation changed are deleted; the rest keep their cache entries
+    /// (and their hit streaks). Periodic sweeps
+    /// ([`revalidate`](Self::revalidate)) still re-translate every flow.
     pub fn flow_mod(&mut self, rule: crate::ofproto::OfRule) {
-        self.ofproto.add_rule(rule);
-        self.revalidate_changed();
+        let change = self.ofproto.add_rule(rule);
+        self.retranslate(Some(&[change]));
     }
 
-    /// Re-translate every installed megaflow against the current tables
-    /// and delete the ones whose datapath actions or wildcard mask
-    /// changed. Returns the number deleted. Re-translating the *masked*
-    /// key is sound because a megaflow's mask covers every field its
-    /// translation consulted, so the masked key takes the same pipeline
-    /// path as any packet the megaflow matches. Pure control-plane
-    /// bookkeeping — the periodic, cost-charged pass is
-    /// [`revalidate`](Self::revalidate).
+    /// Re-translate **every** installed megaflow against the current
+    /// tables and delete the ones whose datapath actions or wildcard mask
+    /// changed — for changes no [`RuleChange`] describes, such as
+    /// swapping or editing `ofproto` wholesale. Returns the number
+    /// deleted. Pure control-plane bookkeeping — the periodic,
+    /// cost-charged pass is [`revalidate`](Self::revalidate).
     pub fn revalidate_changed(&mut self) -> usize {
-        let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
+        self.retranslate(None)
+    }
+
+    /// The control-plane revalidation loop: re-translate the megaflows
+    /// `changes` can reach (all of them for `None`) and delete those whose
+    /// datapath actions or wildcard mask changed; survivors push their
+    /// stats to the old rules and adopt the fresh xlate cache. Returns
+    /// the number deleted. Re-translating the *masked* key is sound
+    /// because a megaflow's mask covers every field its translation
+    /// consulted, so the masked key takes the same pipeline path as any
+    /// packet the megaflow matches. Walks the ukeys, not the megaflow
+    /// table: every installed megaflow has exactly one.
+    fn retranslate(&mut self, changes: Option<&[RuleChange]>) -> usize {
+        let keys: Vec<FlowKey> = self
+            .revalidator
+            .ukeys()
+            .filter(|uk| {
+                changes.is_none_or(|c| uk.reached_by(self.ofproto.resume_point(&uk.key), c))
+            })
+            .map(|uk| uk.key)
+            .collect();
         let mut deleted = 0;
         for k in keys {
             coverage!("revalidate_flow");

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Maximum tables traversed in one translation (loop guard).
-const MAX_TABLE_HOPS: usize = 64;
+pub(crate) const MAX_TABLE_HOPS: usize = 64;
 
 /// An OpenFlow action.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +67,62 @@ pub struct OfRule {
     pub actions: Vec<OfAction>,
     /// Controller bookkeeping id.
     pub cookie: u64,
+}
+
+impl OfRule {
+    /// Replay this rule's effect on a translation's path: apply its
+    /// metadata writes to `key` and return the table the translation
+    /// looks up next — `None` when it ends at this rule (no `Goto`, or a
+    /// `ct`, `nf_chain` or `drop` that ends it first). Mirrors
+    /// [`Ofproto::translate`]'s action walk.
+    pub(crate) fn replay(&self, key: &mut FlowKey) -> Option<u8> {
+        let mut next = None;
+        for act in &self.actions {
+            match act {
+                OfAction::Goto(t) => next = Some(*t),
+                OfAction::SetMetadata(v) => key.set_metadata(*v),
+                OfAction::Ct { .. } | OfAction::NfChain(_) | OfAction::Drop => return None,
+                _ => {}
+            }
+        }
+        next
+    }
+}
+
+/// What one rule insertion can change ([`Ofproto::add_rule`]): the rule's
+/// table and match, and whether it changed that table's probe set
+/// ([`Classifier::insert`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RuleChange {
+    pub table: u8,
+    pub key: FlowKey,
+    pub mask: FlowMask,
+    /// The insert created a subtable or raised a subtable's max priority.
+    pub probes_changed: bool,
+}
+
+impl RuleChange {
+    /// Whether the inserted rule can change a lookup in `table` of
+    /// `key` (carrying the metadata at that lookup) made by a megaflow
+    /// with mask `wc`. Sound because `lookup_wc` unites every probed
+    /// subtable's mask into `wc`: unless the insert changed the probe
+    /// set, the rule's subtable was either not probed (it cannot
+    /// outrank the match) or its mask lies within `wc`, so a key that
+    /// disagrees with the rule on `wc` cannot match it. Metadata is
+    /// compared in full: it is the one field translation rewrites, and
+    /// its value at the lookup is known exactly.
+    pub(crate) fn reaches(&self, table: u8, key: &FlowKey, wc: &FlowMask) -> bool {
+        if table != self.table {
+            return false;
+        }
+        if self.probes_changed {
+            return true;
+        }
+        let mut seen = *wc;
+        seen.set_field(&fields::METADATA);
+        key.masked(&seen)
+            .matches(&self.key.masked(&seen), &self.mask)
+    }
 }
 
 /// An installed rule plus the stats the revalidator pushes back into it
@@ -145,12 +201,14 @@ impl Ofproto {
         }
     }
 
-    /// Install a rule (`ovs-ofctl add-flow`).
-    pub fn add_rule(&mut self, rule: OfRule) {
-        let table = self.tables.entry(rule.table).or_default();
-        table.insert(Rule {
-            key: rule.key,
-            mask: rule.mask,
+    /// Install a rule (`ovs-ofctl add-flow`), replacing one with the same
+    /// table, match and priority. Returns what the insert can change, for
+    /// scoped revalidation.
+    pub fn add_rule(&mut self, rule: OfRule) -> RuleChange {
+        let (table, key, mask) = (rule.table, rule.key, rule.mask);
+        let probes_changed = self.tables.entry(table).or_default().insert(Rule {
+            key,
+            mask,
             priority: rule.priority,
             value: Rc::new(RuleEntry {
                 rule,
@@ -158,6 +216,22 @@ impl Ofproto {
                 n_bytes: std::cell::Cell::new(0),
             }),
         });
+        RuleChange {
+            table,
+            key,
+            mask,
+            probes_changed,
+        }
+    }
+
+    /// Where a translation of `key` starts: `(table, metadata)` — table 0
+    /// with the key's own metadata, or a recirculation's continuation.
+    /// `None` for a stale recirc id, which drops without a lookup.
+    pub(crate) fn resume_point(&self, key: &FlowKey) -> Option<(u8, u64)> {
+        match key.recirc_id() {
+            0 => Some((0, key.metadata())),
+            id => self.recirc.get(&id).map(|c| (c.table, c.metadata)),
+        }
     }
 
     /// Iterate every installed rule (for `ovs-ofctl dump-flows`).
@@ -220,36 +294,27 @@ impl Ofproto {
         let mut matched: Vec<Rc<RuleEntry>> = Vec::new();
         let mut work_key = *key;
 
-        let mut table = if key.recirc_id() != 0 {
-            match self.recirc.get(&key.recirc_id()) {
-                Some(ctx) => {
-                    work_key.set_metadata(ctx.metadata);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.note(format!(
-                            "resuming at table {} (recirc_id 0x{:x}, metadata 0x{:x})",
-                            ctx.table,
-                            key.recirc_id(),
-                            ctx.metadata
-                        ));
-                    }
-                    ctx.table
-                }
-                None => {
-                    // Stale recirc id: drop.
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.note(format!("stale recirc_id 0x{:x}: drop", key.recirc_id()));
-                    }
-                    return Translation {
-                        actions,
-                        mask: wc,
-                        tables_visited: 0,
-                        rules: matched,
-                    };
-                }
+        let Some((mut table, metadata)) = self.resume_point(key) else {
+            // Stale recirc id: drop.
+            if let Some(t) = trace.as_deref_mut() {
+                t.note(format!("stale recirc_id 0x{:x}: drop", key.recirc_id()));
             }
-        } else {
-            0
+            return Translation {
+                actions,
+                mask: wc,
+                tables_visited: 0,
+                rules: matched,
+            };
         };
+        work_key.set_metadata(metadata);
+        if key.recirc_id() != 0 {
+            if let Some(t) = trace.as_deref_mut() {
+                t.note(format!(
+                    "resuming at table {table} (recirc_id 0x{:x}, metadata 0x{metadata:x})",
+                    key.recirc_id(),
+                ));
+            }
+        }
 
         let mut visited = 0u32;
         for _hop in 0..MAX_TABLE_HOPS {

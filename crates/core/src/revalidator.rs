@@ -20,12 +20,13 @@
 //!
 //! This module holds the dpif-independent state: the *ukeys* (userspace
 //! views of installed datapath flows, one per megaflow, with the rule
-//! refs stats are pushed to), the flow-limit algorithm, and the sweep
+//! refs stats are pushed to), the test of which ukeys a new rule can
+//! reach (`Ukey::reached_by`), the flow-limit algorithm, and the sweep
 //! accounting. The drivers live next to the dpifs they sweep:
 //! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) and
 //! [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate).
 
-use crate::ofproto::RuleEntry;
+use crate::ofproto::{RuleChange, RuleEntry, MAX_TABLE_HOPS};
 use ovs_packet::{FlowKey, FlowMask};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -129,6 +130,43 @@ impl<A> Ukey<A> {
             pushed_bytes,
             restored: true,
         }
+    }
+
+    /// Whether any of `changes` can change this flow's translation — the
+    /// candidate test of scoped revalidation. Replays the lookups the
+    /// translation made from its xlate cache alone: it starts at `start`
+    /// ([`Ofproto::resume_point`](crate::ofproto::Ofproto::resume_point)
+    /// of the key), each matched rule's metadata writes and `Goto` lead
+    /// to the next lookup, and a `Goto` with no matched rule after it was
+    /// a missed lookup. A lookup none of `changes` reaches
+    /// ([`RuleChange::reaches`]) takes the same path after them, so a
+    /// flow none of them reaches re-translates to itself. A restored
+    /// flow is always reached: until a sweep adopts it, its xlate cache
+    /// is not the path its actions came from.
+    pub(crate) fn reached_by(&self, start: Option<(u8, u64)>, changes: &[RuleChange]) -> bool {
+        if self.restored {
+            return true;
+        }
+        let Some((mut table, metadata)) = start else {
+            return false;
+        };
+        let mut key = self.key;
+        key.set_metadata(metadata);
+        let mut rules = self.rules.iter();
+        for _ in 0..MAX_TABLE_HOPS {
+            if changes.iter().any(|c| c.reaches(table, &key, &self.mask)) {
+                return true;
+            }
+            let Some(entry) = rules.next() else {
+                return false;
+            };
+            debug_assert_eq!(entry.rule.table, table, "xlate cache out of step");
+            match entry.rule.replay(&mut key) {
+                Some(next) => table = next,
+                None => return false,
+            }
+        }
+        false
     }
 }
 
@@ -297,6 +335,11 @@ impl<A> Revalidator<A> {
 
     pub fn ukey(&self, key: &FlowKey) -> Option<&Ukey<A>> {
         self.ukeys.get(key)
+    }
+
+    /// Every tracked flow, in no particular order.
+    pub(crate) fn ukeys(&self) -> impl Iterator<Item = &Ukey<A>> + '_ {
+        self.ukeys.values()
     }
 
     /// Snapshot of tracked keys, in a deterministic order (sweep order

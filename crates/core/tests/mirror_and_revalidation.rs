@@ -131,6 +131,36 @@ fn flow_mod_revalidates_cached_megaflows() {
 }
 
 #[test]
+fn flow_mod_retranslates_only_the_flows_the_rule_can_reach() {
+    let (mut k, mut dp, nics) = setup();
+    dp.ofproto.add_rule(fwd_rule(0, 1, 10));
+    dp.ofproto.add_rule(fwd_rule(1, 0, 10));
+    k.receive(nics[0], 0, frame());
+    dp.pmd_poll(&mut k, 0, 0, 1);
+    k.receive(nics[1], 0, frame());
+    dp.pmd_poll(&mut k, 1, 0, 1);
+    assert_eq!(dp.megaflow_count(), 2);
+    let dumped = dp.revalidator.stats.flows_dumped;
+
+    // Same match and priority as the port-0 rule: the table's probe set
+    // is unchanged, so only the flow from port 0 can see the new rule.
+    dp.flow_mod(fwd_rule(0, 2, 10));
+    assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 1);
+    assert_eq!(dp.megaflow_count(), 1, "the redirected flow was deleted");
+
+    // A rule in a table no translation looks up reaches no flow, though
+    // it creates that table.
+    let mut rule = fwd_rule(1, 2, 99);
+    rule.table = 7;
+    dp.flow_mod(rule);
+    assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 1);
+
+    // Full revalidation still re-translates every flow.
+    assert_eq!(dp.revalidate_changed(), 0);
+    assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 2);
+}
+
+#[test]
 fn pmd_stats_report_cache_distribution() {
     let (mut k, mut dp, nics) = setup();
     dp.ofproto.add_rule(fwd_rule(0, 1, 10));
