@@ -1,7 +1,7 @@
 //! The datapath flow caches: exact-match cache (EMC), signature match
 //! cache (SMC), and megaflow cache.
 //!
-//! The fast path is a multi-level hierarchy (§5.2, [56]):
+//! The fast path is a multi-level hierarchy (§5.2, \[56\]):
 //!
 //! 1. **EMC** — a small exact-match hash over the full flow key; one probe,
 //!    no masking.

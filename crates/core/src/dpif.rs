@@ -22,7 +22,7 @@ use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::{Ofproto, RuleChange};
-use crate::revalidator::{DeleteReason, Revalidator, SweepSummary, Ukey};
+use crate::revalidator::{DpFlowTable, FlowStats, Revalidator, SweepSummary, Ukey};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
@@ -34,7 +34,7 @@ use ovs_kernel::Kernel;
 use ovs_obs::latency::LatencySummary;
 use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
-use ovs_packet::flow::{extract_miniflow, FlowKey, Miniflow, WORDS};
+use ovs_packet::flow::{extract_miniflow, FlowKey, FlowMask, Miniflow, WORDS};
 use ovs_packet::{builder, DpPacket, MacAddr};
 use ovs_sim::Context;
 use std::collections::BTreeMap;
@@ -785,50 +785,14 @@ impl DpifNetdev {
         self.retranslate(None)
     }
 
-    /// The control-plane revalidation loop: re-translate the megaflows
-    /// `changes` can reach (all of them for `None`) and delete those whose
-    /// datapath actions or wildcard mask changed; survivors push their
-    /// stats to the old rules and adopt the fresh xlate cache. Returns
-    /// the number deleted. Re-translating the *masked* key is sound
-    /// because a megaflow's mask covers every field its translation
-    /// consulted, so the masked key takes the same pipeline path as any
-    /// packet the megaflow matches. Walks the ukeys, not the megaflow
-    /// table: every installed megaflow has exactly one.
+    /// Re-translate the megaflows `changes` can reach (all of them for
+    /// `None`), then purge the EMC and SMC. Returns the number deleted.
     fn retranslate(&mut self, changes: Option<&[RuleChange]>) -> usize {
-        let keys: Vec<FlowKey> = self
-            .revalidator
-            .ukeys()
-            .filter(|uk| {
-                changes.is_none_or(|c| uk.reached_by(self.ofproto.resume_point(&uk.key), c))
-            })
-            .map(|uk| uk.key)
-            .collect();
-        let mut deleted = 0;
-        for k in keys {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            let t = self.ofproto.translate(&k);
-            let stale = match self.megaflow.get(&k) {
-                Some(e) => t.actions != e.actions || t.mask != e.mask,
-                None => continue,
-            };
-            if stale {
-                coverage!("revalidate_changed");
-                self.revalidator.note_delete(DeleteReason::Changed);
-                self.delete_megaflow(&k);
-                deleted += 1;
-            } else {
-                // The flow survives, but the rules backing it may have
-                // changed; push pending stats to the old rules, then
-                // swap in the fresh xlate cache.
-                if let Some(e) = self.megaflow.get(&k) {
-                    self.revalidator.push_stats(&k, e.hits.get(), e.bytes.get());
-                }
-                self.revalidator.refresh_rules(&k, t.rules);
-            }
-        }
+        let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+        let deleted = self.revalidator.retranslate(&mut flows, changes);
         self.emc.purge_dead();
         self.smc.purge_dead();
+        debug_assert_eq!(self.megaflow.len(), self.revalidator.ukey_count());
         deleted
     }
 
@@ -985,179 +949,35 @@ impl DpifNetdev {
         )
     }
 
-    /// Delete one megaflow (by masked key), pushing its outstanding
-    /// stats up to the OpenFlow rules first. Returns whether it existed.
-    fn delete_megaflow(&mut self, masked: &FlowKey) -> bool {
-        if let Some(e) = self.megaflow.get(masked) {
-            self.revalidator
-                .push_stats(masked, e.hits.get(), e.bytes.get());
-        }
-        self.revalidator.forget(masked);
-        if self.megaflow.remove(masked) {
-            self.stats.flows_deleted += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// One full revalidator round over the userspace datapath: dump
-    /// every megaflow, push its stats up to the OpenFlow rules, delete
-    /// flows that are idle past the (effective) idle timeout, older than
-    /// the hard timeout, or whose re-translation changed, then evict
-    /// LRU-first down to the dynamic flow limit. The simulated dump
-    /// duration feeds [`Revalidator::note_dump`], which adjusts the
-    /// limit for the next round — OVS's `udpif_revalidator` loop.
+    /// One revalidator round over the megaflow cache (`Revalidator::sweep`:
+    /// stats pushback, idle/hard/changed deletion, LRU eviction, restored
+    /// flow reconciliation once `flow-restore-wait` lifts), plus the
+    /// conntrack slice sweep, as one `Stage::Revalidate` span.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
-        let t0 = core_ns(kernel, core);
-        let mut timer = StageTimer::new(t0);
+        let mut timer = StageTimer::new(core_ns(kernel, core));
         let now = kernel.sim.clock.now_ns();
         self.maybe_complete_restore(now);
-        let mut reconciled = 0usize;
-        let n_flows = self.megaflow.len();
-        let max_idle = self.revalidator.effective_max_idle_ns(n_flows);
-        let hard = self.revalidator.hard_timeout_ns();
-        let kill_all = n_flows > 2 * self.revalidator.flow_limit;
-        let mut summary = SweepSummary::default();
-
-        let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
-        for k in keys {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            summary.dumped += 1;
-            let c = kernel.sim.costs.revalidate_flow_ns;
-            kernel.sim.charge(core, Context::User, c);
-            let (hits, bytes, used, created) = match self.megaflow.get(&k) {
-                Some(e) => (
-                    e.hits.get(),
-                    e.bytes.get(),
-                    e.used_ns.get(),
-                    e.created_ns.get(),
-                ),
-                None => continue,
-            };
-            // Orphan reconciliation: a restored flow has no live rule
-            // refs yet, so it is exempt from lifecycle decisions until
-            // reconciled — and reconciliation itself waits for the gate
-            // and is budgeted per sweep so reconvergence never starves
-            // the fast path. Re-translating the masked key against the
-            // repopulated table either re-adopts the flow (rules
-            // re-resolved, stats pushback resumes exactly where the
-            // snapshot left off) or deletes it as an orphan.
-            if self.revalidator.is_restored(&k) {
-                if self.restore.wait || reconciled >= self.restore.reconcile_budget {
-                    continue;
-                }
-                reconciled += 1;
-                let t = self.ofproto.translate(&k);
-                let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
-                kernel.sim.charge(core, Context::User, c);
-                let matches = self
-                    .megaflow
-                    .get(&k)
-                    .map(|e| t.actions == e.actions && t.mask == e.mask)
-                    .unwrap_or(false);
-                if matches {
-                    self.revalidator.adopt(&k, t.rules);
-                    self.revalidator.push_stats(&k, hits, bytes);
-                    self.stats.restore_adopted += 1;
-                    coverage!("restore_adopted");
-                    summary.adopted += 1;
-                } else {
-                    self.stats.restore_orphaned += 1;
-                    coverage!("restore_orphaned");
-                    summary.orphaned += 1;
-                    self.delete_megaflow(&k);
-                }
-                continue;
-            }
-            // Push stats before any delete decision so counters survive
-            // the flow.
-            self.revalidator.push_stats(&k, hits, bytes);
-            let reason = if kill_all {
-                Some(DeleteReason::Evicted)
-            } else if now.saturating_sub(used) > max_idle {
-                Some(DeleteReason::Idle)
-            } else if hard > 0 && now.saturating_sub(created) > hard {
-                Some(DeleteReason::Hard)
-            } else {
-                let t = self.ofproto.translate(&k);
-                let stale = self
-                    .megaflow
-                    .get(&k)
-                    .map(|e| t.actions != e.actions || t.mask != e.mask)
-                    .unwrap_or(false);
-                if stale {
-                    Some(DeleteReason::Changed)
-                } else {
-                    self.revalidator.refresh_rules(&k, t.rules);
-                    None
-                }
-            };
-            if let Some(reason) = reason {
-                match reason {
-                    DeleteReason::Idle => {
-                        coverage!("revalidate_idle");
-                        summary.deleted_idle += 1;
-                    }
-                    DeleteReason::Hard => {
-                        coverage!("revalidate_hard");
-                        summary.deleted_hard += 1;
-                    }
-                    DeleteReason::Changed => {
-                        coverage!("revalidate_changed");
-                        summary.deleted_changed += 1;
-                    }
-                    DeleteReason::Evicted => {
-                        coverage!("flow_evicted");
-                        summary.evicted += 1;
-                    }
-                }
-                self.revalidator.note_delete(reason);
-                self.delete_megaflow(&k);
-            }
-        }
-
-        // Still over the limit: evict least-recently-used flows. Sorted
-        // by (used, key hash) so eviction order never depends on
-        // HashMap iteration order.
-        if self.megaflow.len() > self.revalidator.flow_limit {
-            let mut lru: Vec<(u64, u64, FlowKey)> = self
-                .megaflow
-                .iter()
-                .map(|e| (e.used_ns.get(), e.key.hash(), e.key))
-                // While the gate is up the restored flows are the only
-                // forwarding state there is — never evict them.
-                .filter(|(_, _, k)| !(self.restore.wait && self.revalidator.is_restored(k)))
-                .collect();
-            lru.sort_unstable_by_key(|(used, h, _)| (*used, *h));
-            let excess = self.megaflow.len() - self.revalidator.flow_limit;
-            for (_, _, k) in lru.into_iter().take(excess) {
-                coverage!("flow_evicted");
-                self.revalidator.note_delete(DeleteReason::Evicted);
-                summary.evicted += 1;
-                self.delete_megaflow(&k);
-            }
-        }
+        let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+        let ct = &mut self.ct;
+        let summary = self.revalidator.sweep(
+            &mut flows,
+            &mut kernel.sim,
+            core,
+            &self.restore,
+            // Conntrack expiry rides the revalidator cadence: each round
+            // sweeps a rotating slice of shards (an eighth of the table),
+            // so idle connections are reclaimed within 8 rounds without
+            // a full-table scan ever happening at once.
+            |sim| {
+                let expired = ct.sweep_slice(now, (ct.n_shards() / 8).max(1));
+                let c = sim.costs.userspace_ct_ns * expired as f64;
+                sim.charge(core, Context::User, c);
+            },
+        );
+        self.stats.restore_adopted += summary.adopted;
+        self.stats.restore_orphaned += summary.orphaned;
         self.emc.purge_dead();
         self.smc.purge_dead();
-
-        // Conntrack expiry rides the revalidator cadence: each round
-        // sweeps a rotating slice of shards (an eighth of the table),
-        // so idle connections are reclaimed within 8 rounds without a
-        // full-table scan ever happening at once.
-        let ct_slice = (self.ct.n_shards() / 8).max(1);
-        let ct_expired = self.ct.sweep_slice(now, ct_slice);
-        if ct_expired > 0 {
-            let c = kernel.sim.costs.userspace_ct_ns * ct_expired as f64;
-            kernel.sim.charge(core, Context::User, c);
-        }
-
-        // The simulated dump duration drives the dynamic flow limit.
-        let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
-        self.revalidator.note_dump(n_flows, dump_ms);
-        summary.flow_limit = self.revalidator.flow_limit;
-        summary.dump_duration_ms = self.revalidator.dump_duration_ms;
 
         timer.mark(Stage::Revalidate, core_ns(kernel, core));
         self.perf.entry(core).or_default().commit(&timer, 0);
@@ -1171,6 +991,7 @@ impl DpifNetdev {
             self.stats.flows_installed - self.stats.flows_deleted,
             "flow lifecycle accounting drifted"
         );
+        debug_assert_eq!(self.megaflow.len(), self.revalidator.ukey_count());
         summary
     }
 
@@ -1970,7 +1791,8 @@ megaflows installed: {}
             if self.megaflow.contains(&masked) {
                 // Masked-key collision under a different mask: replace
                 // the stale flow.
-                self.delete_megaflow(&masked);
+                let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+                self.revalidator.delete_flow(&mut flows, &masked);
             }
             if self.revalidator.should_install(self.megaflow.len()) {
                 let entry = self
@@ -2667,7 +2489,7 @@ impl DpifNetlink {
             for r in &t.rules {
                 r.credit(1, u.frame.len() as u64);
             }
-            let kactions = self.map_actions(&t.actions);
+            let kactions = map_actions(&t.actions, self.tunnel_local_ip);
             if self.revalidator.should_install(kernel.ovs.flow_count()) {
                 let now = kernel.sim.clock.now_ns();
                 kernel
@@ -2693,112 +2515,18 @@ impl DpifNetlink {
         handled
     }
 
-    /// One full revalidator round over the **kernel** flow table, via the
-    /// ukeys recorded at upcall time — the same dump/revalidate/sweep
-    /// loop as [`DpifNetdev::revalidate`], driven over Netlink in real
-    /// OVS. Flows installed behind the dpif's back (e.g. pre-warmed
-    /// scenario flows) have no ukey and are left alone.
+    /// One full revalidator round over the **kernel** flow table — the
+    /// same `Revalidator::sweep` as [`DpifNetdev::revalidate`], driven
+    /// over Netlink in real OVS. It dumps the ukeys recorded at upcall
+    /// time, so flows installed behind the dpif's back (e.g. pre-warmed
+    /// scenario flows) have no ukey and are neither dumped nor evicted; a
+    /// ukey whose kernel flow is gone (flushed) is forgotten.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
-        let t0 = core_ns(kernel, core);
-        let now = kernel.sim.clock.now_ns();
-        let n_flows = kernel.ovs.flow_count();
-        let max_idle = self.revalidator.effective_max_idle_ns(n_flows);
-        let hard = self.revalidator.hard_timeout_ns();
-        let kill_all = n_flows > 2 * self.revalidator.flow_limit;
-        let mut summary = SweepSummary::default();
-
-        for k in self.revalidator.keys() {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            summary.dumped += 1;
-            let c = kernel.sim.costs.revalidate_flow_ns;
-            kernel.sim.charge(core, Context::User, c);
-            let mask = match self.revalidator.ukey(&k) {
-                Some(uk) => uk.mask,
-                None => continue,
-            };
-            let Some((hits, bytes, used, created)) = kernel.ovs.flow_stats(&k, &mask) else {
-                // The kernel flow is gone (flushed); drop the ukey.
-                self.revalidator.forget(&k);
-                continue;
-            };
-            self.revalidator.push_stats(&k, hits, bytes);
-            let reason = if kill_all {
-                Some(DeleteReason::Evicted)
-            } else if now.saturating_sub(used) > max_idle {
-                Some(DeleteReason::Idle)
-            } else if hard > 0 && now.saturating_sub(created) > hard {
-                Some(DeleteReason::Hard)
-            } else {
-                let t = self.ofproto.translate(&k);
-                let kactions = self.map_actions(&t.actions);
-                let stale = self
-                    .revalidator
-                    .ukey(&k)
-                    .map(|uk| kactions != uk.actions || t.mask != uk.mask)
-                    .unwrap_or(false);
-                if stale {
-                    Some(DeleteReason::Changed)
-                } else {
-                    self.revalidator.refresh_rules(&k, t.rules);
-                    None
-                }
-            };
-            if let Some(reason) = reason {
-                match reason {
-                    DeleteReason::Idle => {
-                        coverage!("revalidate_idle");
-                        summary.deleted_idle += 1;
-                    }
-                    DeleteReason::Hard => {
-                        coverage!("revalidate_hard");
-                        summary.deleted_hard += 1;
-                    }
-                    DeleteReason::Changed => {
-                        coverage!("revalidate_changed");
-                        summary.deleted_changed += 1;
-                    }
-                    DeleteReason::Evicted => {
-                        coverage!("flow_evicted");
-                        summary.evicted += 1;
-                    }
-                }
-                self.revalidator.note_delete(reason);
-                kernel.ovs.remove_flow(&k, &mask);
-                self.revalidator.forget(&k);
-            }
-        }
-
-        // Evict LRU-first down to the limit (only dpif-installed flows —
-        // the ones with ukeys — are candidates).
-        if kernel.ovs.flow_count() > self.revalidator.flow_limit {
-            let mut lru: Vec<(u64, u64, FlowKey)> = self
-                .revalidator
-                .keys()
-                .into_iter()
-                .filter_map(|k| {
-                    let mask = self.revalidator.ukey(&k)?.mask;
-                    let (_, _, used, _) = kernel.ovs.flow_stats(&k, &mask)?;
-                    Some((used, k.hash(), k))
-                })
-                .collect();
-            lru.sort_unstable_by_key(|(used, h, _)| (*used, *h));
-            let excess = kernel.ovs.flow_count() - self.revalidator.flow_limit;
-            for (_, _, k) in lru.into_iter().take(excess) {
-                coverage!("flow_evicted");
-                self.revalidator.note_delete(DeleteReason::Evicted);
-                summary.evicted += 1;
-                if let Some(uk) = self.revalidator.forget(&k) {
-                    kernel.ovs.remove_flow(&k, &uk.mask);
-                }
-            }
-        }
-
-        let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
-        self.revalidator.note_dump(n_flows, dump_ms);
-        summary.flow_limit = self.revalidator.flow_limit;
-        summary.dump_duration_ms = self.revalidator.dump_duration_ms;
-        summary
+        let mut flows = KernelFlows(&mut kernel.ovs, &mut self.ofproto, self.tunnel_local_ip);
+        // The kernel datapath is never restored from a snapshot.
+        let restore = RestoreState::default();
+        self.revalidator
+            .sweep(&mut flows, &mut kernel.sim, core, &restore, |_| {})
     }
 
     /// `ovs-appctl upcall/show` equivalent for the kernel datapath.
@@ -2811,43 +2539,108 @@ impl DpifNetlink {
         out.push_str(&format!("  queue full    : {}\n", kernel.upcall_drops));
         out
     }
+}
 
-    fn map_actions(&self, actions: &[DpAction]) -> Vec<ovs_kernel::KAction> {
-        use ovs_kernel::KAction;
-        if actions.is_empty() {
-            return vec![KAction::Drop];
-        }
-        actions
-            .iter()
-            .map(|a| match a {
-                DpAction::Output(p) => KAction::Output(*p),
-                DpAction::SetTunnel { id, dst } => KAction::SetTunnel(ovs_kernel::TunnelSpec {
-                    id: *id,
-                    src: self.tunnel_local_ip,
-                    dst: *dst,
-                    tos: 0,
-                    ttl: 64,
-                }),
-                DpAction::SetEthSrc(m) => KAction::SetEthSrc(*m),
-                DpAction::SetEthDst(m) => KAction::SetEthDst(*m),
-                DpAction::PushVlan(t) => KAction::PushVlan(*t),
-                DpAction::PopVlan => KAction::PopVlan,
-                DpAction::Ct { zone, commit, nat } => KAction::Ct {
-                    zone: *zone,
-                    commit: *commit,
-                    mark: None,
-                    nat: *nat,
-                },
-                DpAction::Recirc(r) => KAction::Recirc(*r),
-                // The kernel module has no meters here; policing is a
-                // userspace feature in this reproduction (§6).
-                DpAction::Meter(_) => KAction::Recirc(0),
-                // NF chains are likewise userspace-only: the kernel
-                // datapath cannot reach the NF manager's rings.
-                DpAction::NfChain(_) => KAction::Recirc(0),
-            })
-            .collect()
+/// The userspace datapath's megaflow table, the OpenFlow tables above it
+/// and the counters a deletion bumps, as the revalidator sees them.
+struct NetdevFlows<'a>(
+    &'a mut MegaflowCache<Vec<DpAction>>,
+    &'a mut Ofproto,
+    &'a mut DpifStats,
+);
+
+impl DpFlowTable<Vec<DpAction>> for NetdevFlows<'_> {
+    fn flow_stats(&self, key: &FlowKey, _mask: &FlowMask) -> Option<FlowStats> {
+        let e = self.0.get(key)?;
+        Some((
+            e.hits.get(),
+            e.bytes.get(),
+            e.used_ns.get(),
+            e.created_ns.get(),
+        ))
     }
+
+    fn remove_flow(&mut self, key: &FlowKey, _mask: &FlowMask) {
+        if self.0.remove(key) {
+            self.2.flows_deleted += 1;
+        }
+    }
+
+    fn flow_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn ofproto(&mut self) -> &mut Ofproto {
+        self.1
+    }
+
+    fn dp_actions(&self, actions: Vec<DpAction>) -> Vec<DpAction> {
+        actions
+    }
+}
+
+/// The kernel module's flow table, the OpenFlow tables above it and the
+/// local tunnel endpoint, as the revalidator sees them.
+struct KernelFlows<'a>(&'a mut ovs_kernel::OvsModule, &'a mut Ofproto, [u8; 4]);
+
+impl DpFlowTable<Vec<ovs_kernel::KAction>> for KernelFlows<'_> {
+    fn flow_stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowStats> {
+        self.0.flow_stats(key, mask)
+    }
+
+    fn remove_flow(&mut self, key: &FlowKey, mask: &FlowMask) {
+        self.0.remove_flow(key, mask);
+    }
+
+    fn flow_count(&self) -> usize {
+        self.0.flow_count()
+    }
+
+    fn ofproto(&mut self) -> &mut Ofproto {
+        self.1
+    }
+
+    fn dp_actions(&self, actions: Vec<DpAction>) -> Vec<ovs_kernel::KAction> {
+        map_actions(&actions, self.2)
+    }
+}
+
+/// Datapath actions in the kernel module's action language.
+fn map_actions(actions: &[DpAction], tunnel_local_ip: [u8; 4]) -> Vec<ovs_kernel::KAction> {
+    use ovs_kernel::KAction;
+    if actions.is_empty() {
+        return vec![KAction::Drop];
+    }
+    actions
+        .iter()
+        .map(|a| match a {
+            DpAction::Output(p) => KAction::Output(*p),
+            DpAction::SetTunnel { id, dst } => KAction::SetTunnel(ovs_kernel::TunnelSpec {
+                id: *id,
+                src: tunnel_local_ip,
+                dst: *dst,
+                tos: 0,
+                ttl: 64,
+            }),
+            DpAction::SetEthSrc(m) => KAction::SetEthSrc(*m),
+            DpAction::SetEthDst(m) => KAction::SetEthDst(*m),
+            DpAction::PushVlan(t) => KAction::PushVlan(*t),
+            DpAction::PopVlan => KAction::PopVlan,
+            DpAction::Ct { zone, commit, nat } => KAction::Ct {
+                zone: *zone,
+                commit: *commit,
+                mark: None,
+                nat: *nat,
+            },
+            DpAction::Recirc(r) => KAction::Recirc(*r),
+            // The kernel module has no meters here; policing is a
+            // userspace feature in this reproduction (§6).
+            DpAction::Meter(_) => KAction::Recirc(0),
+            // NF chains are likewise userspace-only: the kernel
+            // datapath cannot reach the NF manager's rings.
+            DpAction::NfChain(_) => KAction::Recirc(0),
+        })
+        .collect()
 }
 
 #[cfg(test)]

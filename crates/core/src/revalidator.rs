@@ -18,18 +18,43 @@
 //! an attacker can force per-flow megaflows, but the table stays bounded
 //! by the limit, trading upcalls for memory instead of collapsing.
 //!
-//! This module holds the dpif-independent state: the *ukeys* (userspace
-//! views of installed datapath flows, one per megaflow, with the rule
-//! refs stats are pushed to), the test of which ukeys a new rule can
-//! reach (`Ukey::reached_by`), the flow-limit algorithm, and the sweep
-//! accounting. The drivers live next to the dpifs they sweep:
-//! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) and
-//! [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate).
+//! This module holds the *ukeys* (userspace views of installed datapath
+//! flows, one per megaflow, with the rule refs stats are pushed to), the
+//! test of which ukeys a new rule can reach (`Ukey::reached_by`), the
+//! flow-limit algorithm, and the one revalidation loop: the sweep, the
+//! re-translation after a `flow_mod` and restored-flow reconciliation.
+//! Like udpif it sees a datapath only through a narrow interface, the
+//! crate-private `DpFlowTable` trait, so the same loop sweeps
+//! [`DpifNetdev`](crate::dpif::DpifNetdev::revalidate) and
+//! [`DpifNetlink`](crate::dpif::DpifNetlink::revalidate).
 
-use crate::ofproto::{RuleChange, RuleEntry, MAX_TABLE_HOPS};
+use crate::dpif::DpAction;
+use crate::ofproto::{Ofproto, RuleChange, RuleEntry, MAX_TABLE_HOPS};
+use crate::snapshot::RestoreState;
+use ovs_obs::coverage;
 use ovs_packet::{FlowKey, FlowMask};
+use ovs_sim::{Context, SimCtx};
 use std::collections::HashMap;
 use std::rc::Rc;
+
+/// A datapath flow's `(packets, bytes, used_ns, created_ns)`.
+pub(crate) type FlowStats = (u64, u64, u64, u64);
+
+/// A datapath's view of its own flow table — all the revalidation loop
+/// needs, like udpif's `dpif_flow_dump`/`dpif_operate`. Flows are named
+/// by their masked key and the mask they were installed under.
+pub(crate) trait DpFlowTable<A> {
+    /// An installed flow's stats, or `None` if it is gone.
+    fn flow_stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowStats>;
+    /// Delete an installed flow.
+    fn remove_flow(&mut self, key: &FlowKey, mask: &FlowMask);
+    /// Flows installed, including any installed without a ukey.
+    fn flow_count(&self) -> usize;
+    /// The OpenFlow tables the flows are translated against.
+    fn ofproto(&mut self) -> &mut Ofproto;
+    /// Translated actions in this datapath's action language.
+    fn dp_actions(&self, actions: Vec<DpAction>) -> A;
+}
 
 /// Revalidation tunables. Defaults mirror OVS: 10 s idle timeout
 /// (`ofproto_max_idle`), 200k flow ceiling (`ofproto_flow_limit`), and
@@ -202,6 +227,16 @@ pub struct RevalStats {
     pub max_flows: u64,
 }
 
+impl RevalStats {
+    /// Fold one round's deletions into the lifetime totals.
+    fn add_deleted(&mut self, s: &SweepSummary) {
+        self.deleted_idle += s.deleted_idle;
+        self.deleted_hard += s.deleted_hard;
+        self.deleted_changed += s.deleted_changed;
+        self.evicted += s.evicted;
+    }
+}
+
 /// What one sweep did (the `revalidator/wait` reply).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepSummary {
@@ -224,6 +259,18 @@ impl SweepSummary {
     /// Total flows removed this sweep.
     pub fn deleted(&self) -> u64 {
         self.deleted_idle + self.deleted_hard + self.deleted_changed + self.evicted
+    }
+
+    /// Count one deletion under `reason`, with its coverage counter.
+    fn count_delete(&mut self, reason: DeleteReason) {
+        let (name, n) = match reason {
+            DeleteReason::Idle => ("revalidate_idle", &mut self.deleted_idle),
+            DeleteReason::Hard => ("revalidate_hard", &mut self.deleted_hard),
+            DeleteReason::Changed => ("revalidate_changed", &mut self.deleted_changed),
+            DeleteReason::Evicted => ("flow_evicted", &mut self.evicted),
+        };
+        coverage::inc(name);
+        *n += 1;
     }
 }
 
@@ -337,16 +384,11 @@ impl<A> Revalidator<A> {
         self.ukeys.get(key)
     }
 
-    /// Every tracked flow, in no particular order.
-    pub(crate) fn ukeys(&self) -> impl Iterator<Item = &Ukey<A>> + '_ {
-        self.ukeys.values()
-    }
-
     /// Snapshot of tracked keys, in a deterministic order (sweep order
     /// must not depend on `HashMap` iteration).
     pub fn keys(&self) -> Vec<FlowKey> {
         let mut ks: Vec<FlowKey> = self.ukeys.keys().copied().collect();
-        ks.sort_by_key(|k| k.hash());
+        ks.sort_by_cached_key(|k| k.hash());
         ks
     }
 
@@ -378,15 +420,6 @@ impl<A> Revalidator<A> {
         (dp, db)
     }
 
-    /// Replace a surviving ukey's rule refs after re-translation (the
-    /// rules backing an unchanged flow may still have changed). Push
-    /// pending stats *before* calling this.
-    pub fn refresh_rules(&mut self, key: &FlowKey, rules: Vec<Rc<RuleEntry>>) {
-        if let Some(uk) = self.ukeys.get_mut(key) {
-            uk.rules = rules;
-        }
-    }
-
     /// Whether `key` is a restored flow still awaiting reconciliation.
     pub fn is_restored(&self, key: &FlowKey) -> bool {
         self.ukeys.get(key).is_some_and(|u| u.restored)
@@ -405,16 +438,6 @@ impl<A> Revalidator<A> {
         if let Some(uk) = self.ukeys.get_mut(key) {
             uk.rules = rules;
             uk.restored = false;
-        }
-    }
-
-    /// Account one sweep deletion under `reason`.
-    pub fn note_delete(&mut self, reason: DeleteReason) {
-        match reason {
-            DeleteReason::Idle => self.stats.deleted_idle += 1,
-            DeleteReason::Hard => self.stats.deleted_hard += 1,
-            DeleteReason::Changed => self.stats.deleted_changed += 1,
-            DeleteReason::Evicted => self.stats.evicted += 1,
         }
     }
 
@@ -441,6 +464,188 @@ impl<A> Revalidator<A> {
             s.pushed_packets,
             s.pushed_bytes,
         )
+    }
+}
+
+impl<A: PartialEq> Revalidator<A> {
+    /// One round of OVS's `udpif_revalidator` loop over `table`: dump
+    /// every ukey, delete flows idle, past the hard timeout or translated
+    /// differently now, and evict LRU-first down to the flow limit. Once
+    /// `restore`'s gate is down, a budget of restored flows per round is
+    /// re-translated and adopted or deleted as orphans. `housekeeping`
+    /// runs last, inside the dump duration [`note_dump`](Self::note_dump)
+    /// folds into the limit.
+    pub(crate) fn sweep<T: DpFlowTable<A>>(
+        &mut self,
+        table: &mut T,
+        sim: &mut SimCtx,
+        core: usize,
+        restore: &RestoreState,
+        housekeeping: impl FnOnce(&mut SimCtx),
+    ) -> SweepSummary {
+        let busy_ns = |sim: &SimCtx| sim.cpus.core(core).total_ns().round() as u64;
+        let t0 = busy_ns(sim);
+        let now = sim.clock.now_ns();
+        let n_flows = table.flow_count();
+        let max_idle = self.effective_max_idle_ns(n_flows);
+        let hard = self.hard_timeout_ns();
+        let kill_all = n_flows > 2 * self.flow_limit;
+        let mut summary = SweepSummary::default();
+        let mut reconciled = 0;
+
+        for k in self.keys() {
+            coverage!("revalidate_flow");
+            self.stats.flows_dumped += 1;
+            summary.dumped += 1;
+            sim.charge(core, Context::User, sim.costs.revalidate_flow_ns);
+            let Some((packets, bytes, used, created)) = self.dump(table, &k) else {
+                continue;
+            };
+            // A restored flow has no rule refs to judge it by until it is
+            // reconciled, which waits for the gate and is budgeted per
+            // round so reconvergence never starves the fast path.
+            if self.is_restored(&k) {
+                if restore.wait || reconciled >= restore.reconcile_budget {
+                    continue;
+                }
+                reconciled += 1;
+                let (adopted, tables) = self.retranslate_flow(table, &k, (packets, bytes), true);
+                let c = tables as f64 * sim.costs.upcall_per_table_ns;
+                sim.charge(core, Context::User, c);
+                if adopted {
+                    coverage!("restore_adopted");
+                    summary.adopted += 1;
+                } else {
+                    coverage!("restore_orphaned");
+                    summary.orphaned += 1;
+                    self.delete_flow(table, &k);
+                }
+                continue;
+            }
+            let reason = if kill_all {
+                DeleteReason::Evicted
+            } else if now.saturating_sub(used) > max_idle {
+                DeleteReason::Idle
+            } else if hard > 0 && now.saturating_sub(created) > hard {
+                DeleteReason::Hard
+            } else if self.retranslate_flow(table, &k, (packets, bytes), false).0 {
+                continue;
+            } else {
+                DeleteReason::Changed
+            };
+            summary.count_delete(reason);
+            self.delete_flow(table, &k);
+        }
+
+        // Still over the limit: evict by (used, key hash), LRU first.
+        if table.flow_count() > self.flow_limit {
+            let mut lru: Vec<(u64, u64, FlowKey)> = self
+                .ukeys
+                .values()
+                // While the gate is up the restored flows are the only
+                // forwarding state there is — never evict them.
+                .filter(|uk| !(restore.wait && uk.restored))
+                .filter_map(|uk| {
+                    let (_, _, used, _) = table.flow_stats(&uk.key, &uk.mask)?;
+                    Some((used, uk.key.hash(), uk.key))
+                })
+                .collect();
+            lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
+            let excess = table.flow_count() - self.flow_limit;
+            for (_, _, k) in lru.into_iter().take(excess) {
+                summary.count_delete(DeleteReason::Evicted);
+                self.delete_flow(table, &k);
+            }
+        }
+
+        self.stats.add_deleted(&summary);
+        housekeeping(sim);
+        self.note_dump(n_flows, (busy_ns(sim) - t0) / 1_000_000);
+        summary.flow_limit = self.flow_limit;
+        summary.dump_duration_ms = self.dump_duration_ms;
+        summary
+    }
+
+    /// Re-translate the flows `changes` can reach (all of them for
+    /// `None`) and delete those whose actions or mask changed, without
+    /// charging modeled time. Returns the number deleted. The masked key
+    /// is enough: a megaflow's mask covers every field its translation
+    /// consulted, so it takes the path of any packet the megaflow matches.
+    pub(crate) fn retranslate<T: DpFlowTable<A>>(
+        &mut self,
+        table: &mut T,
+        changes: Option<&[RuleChange]>,
+    ) -> usize {
+        let keys: Vec<FlowKey> = self
+            .ukeys
+            .values()
+            .filter(|uk| {
+                changes.is_none_or(|c| uk.reached_by(table.ofproto().resume_point(&uk.key), c))
+            })
+            .map(|uk| uk.key)
+            .collect();
+        let mut summary = SweepSummary::default();
+        for k in keys {
+            coverage!("revalidate_flow");
+            self.stats.flows_dumped += 1;
+            let Some((packets, bytes, _, _)) = self.dump(table, &k) else {
+                continue;
+            };
+            if !self.retranslate_flow(table, &k, (packets, bytes), false).0 {
+                summary.count_delete(DeleteReason::Changed);
+                self.delete_flow(table, &k);
+            }
+        }
+        self.stats.add_deleted(&summary);
+        summary.deleted_changed as usize
+    }
+
+    /// A ukey's flow stats, or `None` (and the ukey forgotten) if its
+    /// datapath flow has vanished.
+    fn dump<T: DpFlowTable<A>>(&mut self, table: &T, key: &FlowKey) -> Option<FlowStats> {
+        let stats = table.flow_stats(key, &self.ukeys.get(key)?.mask);
+        if stats.is_none() {
+            self.forget(key);
+        }
+        stats
+    }
+
+    /// Push one flow's stats to its rules, re-translate it and compare with
+    /// its ukey. A fresh flow takes the new xlate cache; with `adopt`, a
+    /// restored one also credits the new rules its packets since the
+    /// snapshot. Returns whether it is fresh (the caller deletes it if
+    /// not) and the tables the translation visited.
+    fn retranslate_flow<T: DpFlowTable<A>>(
+        &mut self,
+        table: &mut T,
+        key: &FlowKey,
+        (packets, bytes): (u64, u64),
+        adopt: bool,
+    ) -> (bool, u32) {
+        self.push_stats(key, packets, bytes);
+        let t = table.ofproto().translate(key);
+        let actions = table.dp_actions(t.actions);
+        let fresh = |uk: &&mut Ukey<A>| uk.actions == actions && uk.mask == t.mask;
+        let Some(uk) = self.ukeys.get_mut(key).filter(fresh) else {
+            return (false, t.tables_visited);
+        };
+        uk.rules = t.rules;
+        if adopt {
+            uk.restored = false;
+            self.push_stats(key, packets, bytes);
+        }
+        (true, t.tables_visited)
+    }
+
+    /// Delete a flow, pushing its outstanding stats first so its counters
+    /// survive it, and forget its ukey.
+    pub(crate) fn delete_flow<T: DpFlowTable<A>>(&mut self, table: &mut T, key: &FlowKey) {
+        if let Some((packets, bytes, _, _)) = self.dump(table, key) {
+            self.push_stats(key, packets, bytes);
+            if let Some(uk) = self.forget(key) {
+                table.remove_flow(key, &uk.mask);
+            }
+        }
     }
 }
 

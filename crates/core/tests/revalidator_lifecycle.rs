@@ -7,6 +7,7 @@
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::{DpifNetdev, DpifNetlink, PortType};
 use ovs_core::ofproto::{OfAction, OfRule};
+use ovs_core::revalidator::SweepSummary;
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
 use ovs_packet::ethernet::EtherType;
@@ -331,4 +332,252 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
     assert_eq!(k.ovs.flow_count(), 1);
     assert_eq!(k.device(eth1).tx_wire.len(), 4);
+}
+
+/// A kernel datapath with three bridged NICs, vports 0..3 — the same
+/// port numbers `setup` gives the userspace datapath, so one rule set
+/// drives both.
+fn kernel_setup() -> (Kernel, DpifNetlink, Vec<u32>) {
+    let mut k = Kernel::new(8);
+    let mut nics = Vec::new();
+    for i in 0..3u8 {
+        let nic = k.add_device(NetDevice::new(
+            &format!("eth{i}"),
+            MacAddr::new(2, 0, 0, 0, 0, i + 1),
+            DeviceKind::Phys { link_gbps: 10.0 },
+            1,
+        ));
+        let port = k
+            .ovs
+            .add_vport(ovs_kernel::ovs_module::Vport::Netdev { ifindex: nic });
+        assert_eq!(port, u32::from(i));
+        k.dev_mut(nic).attachment = ovs_kernel::Attachment::OvsBridge { port };
+        nics.push(nic);
+    }
+    (k, DpifNetlink::new([0, 0, 0, 0]), nics)
+}
+
+/// One userspace and one kernel datapath on the same rules, fed the
+/// same frames and swept together.
+struct SweepPair {
+    uk: Kernel,
+    dp: DpifNetdev,
+    unics: Vec<u32>,
+    kk: Kernel,
+    dpif: DpifNetlink,
+    knics: Vec<u32>,
+}
+
+impl SweepPair {
+    fn new() -> Self {
+        let (uk, dp, unics) = setup();
+        let (kk, dpif, knics) = kernel_setup();
+        Self {
+            uk,
+            dp,
+            unics,
+            kk,
+            dpif,
+            knics,
+        }
+    }
+
+    fn add_rule(&mut self, rule: OfRule) {
+        self.dp.ofproto.add_rule(rule.clone());
+        self.dpif.ofproto.add_rule(rule);
+    }
+
+    fn send(&mut self, tp_src: u16) {
+        send(&mut self.uk, &mut self.dp, self.unics[0], tp_src);
+        self.kk.receive(self.knics[0], 0, frame(tp_src));
+        self.dpif.handle_upcalls(&mut self.kk, 2);
+    }
+
+    fn advance(&mut self, ns: u64) {
+        self.uk.sim.clock.advance(ns);
+        self.kk.sim.clock.advance(ns);
+    }
+
+    fn set_flow_limit(&mut self, limit: usize) {
+        self.dp.revalidator.flow_limit = limit;
+        self.dpif.revalidator.flow_limit = limit;
+    }
+
+    fn set_hard_timeout_ms(&mut self, ms: u64) {
+        self.dp.revalidator.cfg.hard_timeout_ms = ms;
+        self.dpif.revalidator.cfg.hard_timeout_ms = ms;
+    }
+
+    /// Sweep both datapaths and check they made the same decisions and
+    /// pushed the same stats. The dump duration is left out: the
+    /// userspace round also prices its conntrack slice.
+    fn sweep(&mut self) -> SweepSummary {
+        let u = self.dp.revalidate(&mut self.uk, 0);
+        let k = self.dpif.revalidate(&mut self.kk, 2);
+        let counts = |s: SweepSummary| SweepSummary {
+            dump_duration_ms: 0,
+            ..s
+        };
+        assert_eq!(counts(u), counts(k), "sweep decisions diverged");
+        assert_eq!(
+            self.dp.megaflow_count(),
+            self.kk.ovs.flow_count(),
+            "flow tables diverged"
+        );
+        assert_eq!(self.dp.revalidator.keys(), self.dpif.revalidator.keys());
+        assert_eq!(rule_stats(&self.dp.ofproto), rule_stats(&self.dpif.ofproto));
+        u
+    }
+}
+
+/// Every rule's `(priority, tp_src, n_packets, n_bytes)`, in a fixed
+/// order.
+fn rule_stats(ofproto: &ovs_core::ofproto::Ofproto) -> Vec<(i32, u16, u64, u64)> {
+    let mut v: Vec<_> = ofproto
+        .iter_rules()
+        .map(|r| {
+            (
+                r.rule.priority,
+                r.rule.key.tp_src(),
+                r.n_packets.get(),
+                r.n_bytes.get(),
+            )
+        })
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// The revalidator makes the same decisions over the kernel flow table
+/// as over the userspace megaflow cache: a changed translation, the
+/// hard timeout, LRU eviction under a shrunk limit and kill-all past
+/// twice the limit, with identical stats pushback to the rules.
+#[test]
+fn kernel_and_userspace_sweeps_agree() {
+    let mut p = SweepPair::new();
+    for tp in 0..20u16 {
+        p.add_rule(tp_src_rule(4000 + tp, 1));
+    }
+    for tp in 0..5u16 {
+        for _ in 0..3 {
+            p.send(4000 + tp);
+        }
+    }
+    let s = p.sweep();
+    assert_eq!((s.dumped, s.deleted()), (5, 0));
+    assert_eq!(
+        rule_stats(&p.dp.ofproto)[0].2,
+        3,
+        "pushback reached the rule"
+    );
+
+    // A higher-priority rule re-steers one flow: its translation changed.
+    let mut steer = tp_src_rule(4000, 2);
+    steer.priority = 20;
+    p.add_rule(steer);
+    let s = p.sweep();
+    assert_eq!((s.dumped, s.deleted_changed, s.deleted()), (5, 1, 1));
+
+    // Hot flows past the hard timeout.
+    p.set_hard_timeout_ms(1_000);
+    p.advance(600_000_000);
+    for tp in 1..5u16 {
+        p.send(4000 + tp);
+    }
+    p.advance(600_000_000);
+    let s = p.sweep();
+    assert_eq!((s.dumped, s.deleted_hard, s.deleted()), (4, 4, 4));
+    p.set_hard_timeout_ms(0);
+
+    // 20 flows, one per millisecond, under a limit of 12: the 8 least
+    // recently used go.
+    for tp in 0..20u16 {
+        p.send(4000 + tp);
+        p.advance(1_000_000);
+    }
+    p.set_flow_limit(12);
+    let s = p.sweep();
+    assert_eq!((s.dumped, s.evicted, s.deleted()), (20, 8, 8));
+    let mut kept: Vec<u16> = p.dp.revalidator.keys().iter().map(|k| k.tp_src()).collect();
+    kept.sort_unstable();
+    assert_eq!(
+        kept,
+        (4008..4020).collect::<Vec<u16>>(),
+        "the newest 12 kept"
+    );
+
+    // 12 flows past twice a limit of 5: kill them all.
+    p.set_flow_limit(5);
+    let s = p.sweep();
+    assert_eq!((s.dumped, s.evicted, s.deleted()), (12, 12, 12));
+    assert_eq!(p.dp.megaflow_count(), 0);
+}
+
+/// Flows the kernel datapath lost behind the dpif's back are still
+/// dumped once, and their ukeys forgotten without a deletion.
+#[test]
+fn kernel_sweep_forgets_flows_removed_behind_its_back() {
+    let (mut k, mut dpif, nics) = kernel_setup();
+    for tp in 0..3u16 {
+        dpif.ofproto.add_rule(tp_src_rule(5000 + tp, 1));
+        k.receive(nics[0], 0, frame(5000 + tp));
+        dpif.handle_upcalls(&mut k, 2);
+    }
+    assert_eq!(dpif.revalidator.ukey_count(), 3);
+
+    // One flow removed directly in the kernel module...
+    let gone = dpif.revalidator.keys()[0];
+    let mask = dpif.revalidator.ukey(&gone).unwrap().mask;
+    assert!(k.ovs.remove_flow(&gone, &mask));
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.dumped, s.deleted()), (3, 0));
+    assert!(dpif.revalidator.ukey(&gone).is_none(), "ukey forgotten");
+    assert_eq!(dpif.revalidator.ukey_count(), 2);
+
+    // ...then the whole table flushed.
+    k.ovs.flush_flows();
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.dumped, s.deleted()), (2, 0));
+    assert_eq!(dpif.revalidator.ukey_count(), 0);
+    assert_eq!(dpif.revalidator.stats.flows_dumped, 5);
+}
+
+/// A flow installed straight into the kernel module has no ukey: the
+/// sweep neither dumps it nor evicts it, even over the flow limit.
+#[test]
+fn kernel_sweep_leaves_prewarmed_flows_alone() {
+    let (mut k, mut dpif, nics) = kernel_setup();
+    // Traffic only enters on port 0, so this flow never matches it.
+    let mut key = FlowKey::default();
+    key.set_in_port(1);
+    let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
+    k.ovs
+        .install_flow(&key, &mask, vec![ovs_kernel::KAction::Output(0)]);
+    for tp in 0..3u16 {
+        dpif.ofproto.add_rule(tp_src_rule(6000 + tp, 1));
+        k.receive(nics[0], 0, frame(6000 + tp));
+        dpif.handle_upcalls(&mut k, 2);
+        k.sim.clock.advance(1_000_000);
+    }
+    assert_eq!(k.ovs.flow_count(), 4);
+
+    // Four flows over a limit of two: the two oldest dpif flows go.
+    dpif.revalidator.flow_limit = 2;
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.dumped, s.evicted), (3, 2));
+    assert_eq!(k.ovs.flow_count(), 2);
+    assert!(
+        k.ovs.flow_stats(&key, &mask).is_some(),
+        "pre-warmed flow kept"
+    );
+
+    // Two flows past twice a limit of zero: kill-all spares it too.
+    dpif.revalidator.flow_limit = 0;
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.dumped, s.evicted), (1, 1));
+    assert_eq!(k.ovs.flow_count(), 1);
+    assert!(
+        k.ovs.flow_stats(&key, &mask).is_some(),
+        "pre-warmed flow kept"
+    );
 }
