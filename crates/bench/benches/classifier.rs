@@ -1,9 +1,15 @@
 //! Tuple-space-search classifier scaling: lookup cost vs subtable count
-//! and rule count — the structure behind the 1 vs 1,000 flow gap.
+//! and rule count — the structure behind the 1 vs 1,000 flow gap — plus
+//! the NSX rule set's install cost and a staged `lookup_wc` of a new
+//! connection, the insert and probe sides of the stage index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ovs_core::classifier::{Classifier, Rule};
+use ovs_core::ofproto::Ofproto;
+use ovs_nsx::ruleset::{self, tables, NsxConfig, NsxPorts};
+use ovs_packet::dp_packet::ct_state;
 use ovs_packet::flow::{fields, FlowKey, FlowMask};
+use ovs_packet::EtherType;
 use std::hint::black_box;
 
 fn key(ip: [u8; 4], port: u16) -> FlowKey {
@@ -74,6 +80,62 @@ fn bench_insert(c: &mut Criterion) {
     });
 }
 
+/// The default NSX rule set (103,302 rules over 40 tables) installed
+/// into a fresh pipeline, as every host build does.
+fn nsx_ofproto() -> Ofproto {
+    let ports = NsxPorts {
+        vifs: (2..32).collect(),
+        tunnel: 1,
+        uplink: 0,
+    };
+    let mut of = Ofproto::new();
+    ruleset::install(&NsxConfig::default(), &ports, 1, 2, &mut of);
+    of
+}
+
+fn bench_nsx_install(c: &mut Criterion) {
+    c.bench_function("classifier/nsx_install_103k", |b| {
+        b.iter(|| black_box(nsx_ofproto().rule_count()))
+    });
+}
+
+/// One `lookup_wc` per new connection against the first egress DFW
+/// section (the allow rule plus ~2,600 filler rules in 198.18/15): the
+/// post-ct `ct_state=+new` lookup every new connection's upcall makes,
+/// with a fresh source port each time.
+fn bench_nsx_lookup_wc(c: &mut Criterion) {
+    let section = *tables::EGRESS_SECTIONS.start();
+    let mut cls = Classifier::new();
+    for e in nsx_ofproto().iter_rules() {
+        if e.rule.table == section {
+            cls.insert(Rule {
+                key: e.rule.key,
+                mask: e.rule.mask,
+                priority: e.rule.priority,
+                value: e.rule.cookie,
+            });
+        }
+    }
+    let mut k = FlowKey::default();
+    k.set_in_port(2);
+    k.set_eth_type(EtherType::Ipv4);
+    k.set_nw_src_v4([10, 101, 0, 2]);
+    k.set_nw_dst_v4([10, 102, 0, 2]);
+    k.set_nw_proto(17);
+    k.set_tp_dst(4444);
+    k.set_ct_state(ct_state::NEW | ct_state::TRACKED);
+    let mut port = 0u16;
+    c.bench_function("classifier/nsx_lookup_wc_new_conn", |b| {
+        b.iter(|| {
+            port = port.wrapping_add(1);
+            k.set_tp_src(port);
+            let mut wc = FlowMask::EMPTY;
+            let hit = cls.lookup_wc(black_box(&k), &mut wc).map(|r| r.value);
+            black_box((hit, wc))
+        })
+    });
+}
+
 /// Short measurement windows keep the full `cargo bench --workspace`
 /// run to a few minutes; pass `--measurement-time` to override.
 fn quick() -> Criterion {
@@ -86,6 +148,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_subtable_scaling, bench_rule_scaling, bench_insert
+    targets = bench_subtable_scaling, bench_rule_scaling, bench_insert, bench_nsx_install,
+        bench_nsx_lookup_wc
 }
 criterion_main!(benches);

@@ -373,7 +373,7 @@ impl<A> MegaflowCache<A> {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            cls: Classifier::new(),
+            cls: Classifier::without_stage_index(),
             installed: HashMap::new(),
             hits: 0,
             misses: 0,

@@ -19,9 +19,135 @@
 //! burst against each subtable in wide lanes (one signature pass per
 //! `lane_width` keys, upstream's AVX-512 `dpcls_subtable_lookup` shape),
 //! removing keys from the remaining set as they match.
+//!
+//! [`Classifier::lookup_wc`], the lookup translation uses, is *staged*
+//! (upstream `lib/classifier.c`; Pfaff et al., NSDI'15): each subtable is
+//! probed one [stage](STAGES) at a time — metadata, L2, L3, L4 — against
+//! a per-subtable index of the rules' stage prefixes, and a probe that
+//! fails at a stage un-wildcards only the mask's fields up to that stage.
+//! A probe that can rule a subtable out on its L3 addresses then leaves
+//! the L4 ports wildcarded, so a megaflow is not per-connection just
+//! because the table holds 5-tuple rules for other addresses.
 
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The lookup stages, in the order a staged probe checks them (upstream's
+/// flow segments): metadata (`in_port`, `recirc_id`, tunnel, conntrack
+/// and the metadata register), L2, L3 (addresses, `nw_proto`, `nw_tos`,
+/// `nw_ttl`, `nw_frag`) and L4 (ports).
+pub const STAGES: [&str; 4] = ["metadata", "l2", "l3", "l4"];
+
+/// Each stage's bits of the [`FlowKey`] word layout; together they cover
+/// every bit exactly once.
+const STAGE_BITS: [FlowMask; 4] = {
+    const M: u64 = u64::MAX;
+    [
+        FlowMask::from_words([M, 0, 0, 0, 0, 0, 0, 0, M, M, M, M]),
+        FlowMask::from_words([0, M, M, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        FlowMask::from_words([0, 0, 0, M, M, M, M, 0xffff_ffff_0000_0000, 0, 0, 0, 0]),
+        FlowMask::from_words([0, 0, 0, 0, 0, 0, 0, 0x0000_0000_ffff_ffff, 0, 0, 0, 0]),
+    ]
+};
+
+/// `mask` restricted to stages `0..=stage`: what a staged probe of a
+/// subtable with this mask un-wildcards when it stops at `stage`.
+pub(crate) fn stage_prefix(mask: &FlowMask, stage: usize) -> FlowMask {
+    let mut upto = FlowMask::EMPTY;
+    for bits in &STAGE_BITS[..=stage] {
+        upto.unite(bits);
+    }
+    mask.intersect(&upto)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The avalanche finalizer of `FlowKey::hash_masked`.
+fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h
+}
+
+/// A hasher that passes a `u64` key through: the stage index keys are
+/// already finalized hashes, of rule keys the controller supplies (a
+/// lookup only tests membership, it never inserts).
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// One cumulative stage prefix of a subtable's mask that lies strictly
+/// inside the mask, with how many of the subtable's rules have each
+/// value under it (keyed by hash).
+#[derive(Debug)]
+struct StageIndex {
+    /// The stage this prefix ends with.
+    stage: usize,
+    /// The mask's bits in this stage alone, as `(slot, bits)` in slot
+    /// order: what the running hash folds in on top of the prefix before.
+    segment: Vec<(usize, u64)>,
+    /// The mask's bits in stages `0..=stage`, united into the wildcards
+    /// when a probe stops here.
+    prefix: FlowMask,
+    /// Rules per hash of their key under `prefix`.
+    counts: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+}
+
+impl StageIndex {
+    /// The stage plan of a subtable with `mask`: one index per stage the
+    /// mask touches, except the last — past it, the probe is the full
+    /// masked-key lookup. Also returns that last stage (0 for the empty
+    /// mask).
+    fn plan(mask: &FlowMask) -> (Vec<StageIndex>, usize) {
+        let touched: Vec<usize> = (0..STAGES.len())
+            .filter(|&s| mask.intersect(&STAGE_BITS[s]) != FlowMask::EMPTY)
+            .collect();
+        let Some((&last, inner)) = touched.split_last() else {
+            return (Vec::new(), 0);
+        };
+        let index = inner
+            .iter()
+            .map(|&stage| StageIndex {
+                stage,
+                segment: MiniMask::from_mask(&mask.intersect(&STAGE_BITS[stage]))
+                    .iter()
+                    .collect(),
+                prefix: stage_prefix(mask, stage),
+                counts: HashMap::default(),
+            })
+            .collect();
+        (index, last)
+    }
+
+    /// Fold this stage's bits of `flow` into the running prefix hash `h`
+    /// and return the finalized hash of `flow` under `prefix`. Walking a
+    /// subtable's indices in order hashes every prefix in one pass.
+    fn fold(&self, h: &mut u64, flow: &Miniflow) -> u64 {
+        for &(w, m) in &self.segment {
+            *h = (*h ^ (flow.get(w) & m)).wrapping_mul(FNV_PRIME);
+        }
+        finish(*h)
+    }
+}
 
 /// A classifier rule: match (key under mask), priority, and an opaque
 /// value (rule id / actions handle).
@@ -49,6 +175,31 @@ struct Subtable<V> {
     rule_count: usize,
     /// Lookups this subtable answered (the ranking key).
     hits: u64,
+    /// The staged probe's prefix indices, in stage order (empty on a
+    /// classifier without the stage index).
+    index: Vec<StageIndex>,
+    /// The last stage the mask touches, where a probe that passes every
+    /// prefix stops.
+    last_stage: usize,
+}
+
+impl<V> Subtable<V> {
+    /// Add `n` rules with masked key `masked` to the stage index, or
+    /// take them out (`add == false`).
+    fn index_rules(&mut self, masked: &Miniflow, n: u32, add: bool) {
+        let mut h = FNV_OFFSET;
+        for ix in &mut self.index {
+            let k = ix.fold(&mut h, masked);
+            if add {
+                *ix.counts.entry(k).or_insert(0) += n;
+            } else if let Entry::Occupied(mut e) = ix.counts.entry(k) {
+                *e.get_mut() -= n;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+        }
+    }
 }
 
 /// One subtable's entry in the ranked probe vector, as dumped by
@@ -76,6 +227,9 @@ pub struct ClassifierStats {
     /// Keys carried through bulk steps (occupancy numerator: a fully
     /// packed run has `lane_keys == lane_steps * lane_width`).
     pub lane_keys: u64,
+    /// [`Classifier::lookup_wc`] subtable probes by the [stage](STAGES)
+    /// they stopped at: the last stage whose fields they un-wildcarded.
+    pub stage_stops: [u64; STAGES.len()],
 }
 
 /// Lookups between subtable-ranking re-sorts (OVS re-sorts its pvector
@@ -98,6 +252,9 @@ pub struct Classifier<V> {
     /// Keys probed per bulk step ([`Classifier::lookup_bulk`]).
     pub lane_width: usize,
     since_rank: u64,
+    /// Whether subtables keep the stage index [`Classifier::lookup_wc`]
+    /// probes.
+    staged: bool,
 }
 
 impl<V> Default for Classifier<V> {
@@ -107,7 +264,8 @@ impl<V> Default for Classifier<V> {
 }
 
 impl<V> Classifier<V> {
-    /// An empty classifier.
+    /// An empty classifier, keeping the stage index that
+    /// [`lookup_wc`](Self::lookup_wc) probes.
     pub fn new() -> Self {
         Self {
             subtables: Vec::new(),
@@ -115,6 +273,17 @@ impl<V> Classifier<V> {
             rank_interval: DEFAULT_RANK_INTERVAL,
             lane_width: DEFAULT_LANE_WIDTH,
             since_rank: 0,
+            staged: true,
+        }
+    }
+
+    /// An empty classifier without the stage index, for a table that
+    /// never tracks wildcards (the megaflow cache): inserts and removes
+    /// skip the index upkeep, and [`lookup_wc`](Self::lookup_wc) panics.
+    pub(crate) fn without_stage_index() -> Self {
+        Self {
+            staged: false,
+            ..Self::new()
         }
     }
 
@@ -146,6 +315,7 @@ impl<V> Classifier<V> {
         let idx = match found {
             Some(i) => i,
             None => {
+                let (index, last_stage) = StageIndex::plan(&rule.mask);
                 self.subtables.push(Subtable {
                     mask: rule.mask,
                     mini_mask: MiniMask::from_mask(&rule.mask),
@@ -153,6 +323,8 @@ impl<V> Classifier<V> {
                     max_priority: i32::MIN,
                     rule_count: 0,
                     hits: 0,
+                    index: if self.staged { index } else { Vec::new() },
+                    last_stage,
                 });
                 self.subtables.len() - 1
             }
@@ -160,7 +332,12 @@ impl<V> Classifier<V> {
         let st = &mut self.subtables[idx];
         let probes_changed = found.is_none() || rule.priority > st.max_priority;
         st.max_priority = st.max_priority.max(rule.priority);
-        let bucket = st.rules.entry(masked).or_default();
+        // Most masked keys hold one rule: a default `Vec` would reserve
+        // room for four.
+        let bucket = st
+            .rules
+            .entry(masked)
+            .or_insert_with(|| Vec::with_capacity(1));
         if let Some(existing) = bucket.iter_mut().find(|r| r.priority == rule.priority) {
             *existing = rule;
         } else {
@@ -168,6 +345,7 @@ impl<V> Classifier<V> {
             // Keep each bucket ordered by descending priority.
             bucket.sort_by_key(|r| std::cmp::Reverse(r.priority));
             st.rule_count += 1;
+            st.index_rules(&masked, 1, true);
         }
         // Keep subtables ordered by descending max priority so lookups can
         // stop early (OVS's pvector).
@@ -214,6 +392,7 @@ impl<V> Classifier<V> {
             if let Some(bucket) = st.rules.remove(&masked) {
                 removed = bucket.len();
                 st.rule_count -= removed;
+                st.index_rules(&masked, removed as u32, false);
             }
         }
         self.subtables.retain(|s| s.rule_count > 0);
@@ -265,14 +444,26 @@ impl<V> Classifier<V> {
             .and_then(|b| b.iter().find(|r| r.priority == prio))
     }
 
-    /// [`Classifier::lookup`] that also unites the mask of **every
-    /// subtable probed** into `wc` — the wildcard tracking translation
+    /// [`Classifier::lookup`] that also unites into `wc` the fields of
+    /// every subtable it **examined** — the wildcard tracking translation
     /// needs: a megaflow must be as specific as every rule the lookup
-    /// *examined*, not just the one it matched, or two packets that
-    /// diverge on an examined-but-missed rule would share a megaflow
-    /// (and overlapping megaflows make the dpcls winner probe-order
-    /// dependent).
+    /// examined, not just the one it matched, or two packets that
+    /// diverge on an examined-but-missed rule would share a megaflow (and
+    /// overlapping megaflows make the dpcls winner probe-order dependent).
+    ///
+    /// The probe is staged. It checks a subtable's [stage](STAGES)
+    /// prefixes in order against the subtable's index and stops at the
+    /// first one no rule has, uniting only the mask's fields up to that
+    /// stage (`stats.stage_stops` counts where each probe stopped). That
+    /// is sound: no rule of the subtable agrees with `key` on that prefix,
+    /// so none matches any key that agrees with `key` on `wc`. A probe
+    /// that passes every prefix unites the whole mask and looks the key
+    /// up in full. The index is keyed by hash, so a collision can only
+    /// pass a prefix no rule has: the probe goes on and unites more,
+    /// which is still sound. A table miss has probed every subtable this
+    /// way, so it needs no wildcards beyond `wc`.
     pub fn lookup_wc(&mut self, key: &FlowKey, wc: &mut FlowMask) -> Option<&Rule<V>> {
+        assert!(self.staged, "lookup_wc needs the stage index");
         self.stats.lookups += 1;
         self.maybe_rerank();
         let mf = Miniflow::from_key(key);
@@ -284,7 +475,18 @@ impl<V> Classifier<V> {
                 }
             }
             self.stats.subtables_probed += 1;
+            let mut h = FNV_OFFSET;
+            if let Some(ix) = st
+                .index
+                .iter()
+                .find(|ix| !ix.counts.contains_key(&ix.fold(&mut h, &mf)))
+            {
+                wc.unite(&ix.prefix);
+                self.stats.stage_stops[ix.stage] += 1;
+                continue;
+            }
             wc.unite(&st.mask);
+            self.stats.stage_stops[st.last_stage] += 1;
             let masked = st.mini_mask.apply(&mf);
             if let Some(bucket) = st.rules.get(&masked) {
                 let r = &bucket[0];
@@ -357,17 +559,6 @@ impl<V> Classifier<V> {
                 })
             })
             .collect()
-    }
-
-    /// Union of every subtable mask — the conservative wildcard a miss
-    /// must carry (a megaflow for a miss must be as specific as anything
-    /// that *could* have matched).
-    pub fn total_mask(&self) -> FlowMask {
-        let mut m = FlowMask::EMPTY;
-        for st in &self.subtables {
-            m.unite(&st.mask);
-        }
-        m
     }
 
     /// Iterate over all rules (diagnostics, rule counting).
@@ -504,22 +695,83 @@ mod tests {
     }
 
     #[test]
-    fn total_mask_unions_subtables() {
+    fn stages_partition_the_key() {
+        let mut all = FlowMask::EMPTY;
+        for bits in &STAGE_BITS {
+            all.unite(bits);
+        }
+        assert_eq!(all, FlowMask::EXACT);
+        let sum: u32 = STAGE_BITS.iter().map(|b| b.bit_count()).sum();
+        assert_eq!(sum, FlowMask::EXACT.bit_count(), "no bit in two stages");
+        assert_eq!(
+            stage_prefix(&FlowMask::EXACT, STAGES.len() - 1),
+            FlowMask::EXACT
+        );
+    }
+
+    /// A 5-tuple-style rule (L2 `eth_type`, L3 `nw_src`, L4 `tp_dst`).
+    fn five_tuple(src: [u8; 4], tp_dst: u16) -> Rule<u32> {
+        let mut key = FlowKey::default();
+        key.set_eth_type_raw(0x0800);
+        key.set_nw_src_v4(src);
+        key.set_tp_dst(tp_dst);
+        let mut mask = FlowMask::of_fields(&[&fields::ETH_TYPE, &fields::TP_DST]);
+        mask.set_nw_src_v4_prefix(32);
+        Rule {
+            key,
+            mask,
+            priority: 10,
+            value: 1,
+        }
+    }
+
+    #[test]
+    fn miss_at_l3_leaves_tp_dst_wildcarded() {
         let mut c = Classifier::new();
-        c.insert(rule([10, 0, 0, 0], 8, 1, 1));
-        let mut m2 = FlowMask::EMPTY;
-        m2.set_field(&fields::TP_DST);
-        c.insert(Rule {
-            key: FlowKey::default(),
-            mask: m2,
-            priority: 2,
-            value: 9,
-        });
-        let total = c.total_mask();
-        assert!(m2.subset_of(&total));
-        let mut m1 = FlowMask::EMPTY;
-        m1.set_nw_dst_v4_prefix(8);
-        assert!(m1.subset_of(&total));
+        c.insert(five_tuple([198, 18, 0, 1], 443));
+        let mut k = FlowKey::default();
+        k.set_eth_type_raw(0x0800);
+        k.set_nw_src_v4([10, 0, 0, 1]);
+        k.set_tp_dst(443);
+
+        let mut wc = FlowMask::EMPTY;
+        assert!(c.lookup_wc(&k, &mut wc).is_none());
+        let mut l3 = FlowMask::of_fields(&[&fields::ETH_TYPE]);
+        l3.set_nw_src_v4_prefix(32);
+        assert_eq!(wc, l3, "stopped at L3: eth_type and nw_src only");
+        assert_eq!(c.stats.stage_stops, [0, 0, 1, 0]);
+
+        // A key that passes L3 is looked up in full, so it un-wildcards
+        // tp_dst even though it misses there.
+        k.set_nw_src_v4([198, 18, 0, 1]);
+        k.set_tp_dst(80);
+        let mut wc = FlowMask::EMPTY;
+        assert!(c.lookup_wc(&k, &mut wc).is_none());
+        assert_eq!(wc, c.subtable_info()[0].mask);
+        assert_eq!(c.stats.stage_stops, [0, 0, 1, 1]);
+        k.set_tp_dst(443);
+        assert_eq!(c.lookup_wc(&k, &mut wc).map(|r| r.value), Some(1));
+    }
+
+    #[test]
+    fn removal_takes_rules_out_of_the_stage_index() {
+        let mut c = Classifier::new();
+        c.insert(five_tuple([198, 18, 0, 1], 443));
+        c.insert(five_tuple([198, 18, 0, 2], 443));
+        let r = five_tuple([198, 18, 0, 1], 443);
+        assert_eq!(c.remove(&r.key, &r.mask), 1);
+        let mut wc = FlowMask::EMPTY;
+        assert!(c.lookup_wc(&r.key, &mut wc).is_none());
+        assert_eq!(c.stats.stage_stops, [0, 0, 1, 0], "its L3 value is gone");
+    }
+
+    #[test]
+    #[should_panic(expected = "lookup_wc needs the stage index")]
+    fn lookup_wc_needs_the_stage_index() {
+        let mut c = Classifier::without_stage_index();
+        c.insert(five_tuple([198, 18, 0, 1], 443));
+        let mut wc = FlowMask::EMPTY;
+        c.lookup_wc(&FlowKey::default(), &mut wc);
     }
 
     #[test]

@@ -440,6 +440,11 @@ pub struct DpifNetdev {
     pub mirrors: Vec<MirrorSession>,
     /// Counters.
     pub stats: DpifStats,
+    /// The part of `stats` the control plane changed outside packet
+    /// processing: sweeps, flow_mods, flushes and restores delete and
+    /// install flows on no PMD thread's behalf
+    /// ([`PmdSet::coherent_with_datapath`](crate::pmd::PmdSet::coherent_with_datapath)).
+    pub control_stats: DpifStats,
     /// Sparse-key shape statistics (`dpif-netdev/miniflow-stats`).
     pub miniflow_stats: MiniflowStats,
     /// Per-PMD (per-core) stage cycle attribution.
@@ -489,6 +494,7 @@ impl DpifNetdev {
             rtnl: RtnlCache::new(),
             mirrors: Vec::new(),
             stats: DpifStats::default(),
+            control_stats: DpifStats::default(),
             miniflow_stats: MiniflowStats::default(),
             perf: BTreeMap::new(),
             latency: LatencyTracker::new(),
@@ -645,6 +651,7 @@ impl DpifNetdev {
                 .push_stats(&e.key, e.hits.get(), e.bytes.get());
         }
         self.stats.flows_deleted += self.megaflow.len() as u64;
+        self.control_stats.flows_deleted += self.megaflow.len() as u64;
         self.revalidator.clear_ukeys();
         self.emc.flush();
         self.smc.flush();
@@ -788,8 +795,10 @@ impl DpifNetdev {
     /// Re-translate the megaflows `changes` can reach (all of them for
     /// `None`), then purge the EMC and SMC. Returns the number deleted.
     fn retranslate(&mut self, changes: Option<&[RuleChange]>) -> usize {
+        let before = self.stats;
         let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
         let deleted = self.revalidator.retranslate(&mut flows, changes);
+        self.control_stats.accumulate(&self.stats.delta(&before));
         self.emc.purge_dead();
         self.smc.purge_dead();
         debug_assert_eq!(self.megaflow.len(), self.revalidator.ukey_count());
@@ -877,6 +886,7 @@ impl DpifNetdev {
             ));
             coverage!("flow_restored");
         }
+        self.control_stats.flows_installed += snap.flows.len() as u64;
         st.restored_flows = snap.flows.len() as u64;
         st.restored_conns = self.ct.restore_conns(&snap.conns) as u64;
         st.hits_at_restore = self.stats.emc_hits + self.stats.smc_hits + self.stats.megaflow_hits;
@@ -957,6 +967,7 @@ impl DpifNetdev {
         let mut timer = StageTimer::new(core_ns(kernel, core));
         let now = kernel.sim.clock.now_ns();
         self.maybe_complete_restore(now);
+        let before = self.stats;
         let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
         let ct = &mut self.ct;
         let summary = self.revalidator.sweep(
@@ -976,6 +987,7 @@ impl DpifNetdev {
         );
         self.stats.restore_adopted += summary.adopted;
         self.stats.restore_orphaned += summary.orphaned;
+        self.control_stats.accumulate(&self.stats.delta(&before));
         self.emc.purge_dead();
         self.smc.purge_dead();
 
@@ -3044,6 +3056,10 @@ mod tests {
         let cold = dp.ofproto_trace(&mut k, &frame64(), 0, 0);
         assert!(cold.contains("Trace: "), "{cold}");
         assert!(cold.contains("upcall to ofproto"), "{cold}");
+        assert!(
+            cold.contains("table 0: probed 1 subtables, stopped at metadata 1, l2 0, l3 0, l4 0\n"),
+            "{cold}"
+        );
         assert!(cold.contains("table 0: matched priority 10"), "{cold}");
         assert!(cold.contains("megaflow installed"), "{cold}");
         assert!(cold.contains("output: port 1"), "{cold}");

@@ -10,7 +10,7 @@
 //! datapath multiple times (§5.1 describes three passes in the NSX
 //! pipeline).
 
-use crate::classifier::{Classifier, Rule};
+use crate::classifier::{stage_prefix, Classifier, Rule, STAGES};
 use crate::dpif::{DpAction, PortNo};
 use ovs_packet::flow::fields;
 use ovs_packet::{FlowKey, FlowMask, MacAddr};
@@ -104,13 +104,24 @@ pub struct RuleChange {
 impl RuleChange {
     /// Whether the inserted rule can change a lookup in `table` of
     /// `key` (carrying the metadata at that lookup) made by a megaflow
-    /// with mask `wc`. Sound because `lookup_wc` unites every probed
-    /// subtable's mask into `wc`: unless the insert changed the probe
-    /// set, the rule's subtable was either not probed (it cannot
-    /// outrank the match) or its mask lies within `wc`, so a key that
-    /// disagrees with the rule on `wc` cannot match it. Metadata is
-    /// compared in full: it is the one field translation rewrites, and
-    /// its value at the lookup is known exactly.
+    /// with mask `wc`: whether the rule agrees with `key` on the longest
+    /// cumulative [stage](STAGES) prefix of its mask that lies inside
+    /// `wc` plus the metadata (its full mask when all of it lies there).
+    /// Metadata counts as examined: it is the one field translation
+    /// rewrites, and its value at the lookup is known exactly.
+    ///
+    /// Sound because of how the staged `lookup_wc` unites wildcards.
+    /// Unless the insert changed the probe set, the rule's subtable
+    /// already existed with a max priority at or above the rule's. If
+    /// the lookup did not probe it, the match outranked the whole
+    /// subtable, the new rule included. If it did, the probe stopped at
+    /// some stage `s`, so `wc` holds the subtable's stages up to `s`,
+    /// and no old rule agrees with the flow's keys on that prefix. A
+    /// rule that disagrees with `key` on a longer prefix `P` inside `wc`
+    /// then matches none of the flow's keys, and a probe of any of them
+    /// stops no later than the first stage where the rule disagrees,
+    /// uniting only fields of `P` (already in `wc`). The actions and the
+    /// mask both stay as they were.
     pub(crate) fn reaches(&self, table: u8, key: &FlowKey, wc: &FlowMask) -> bool {
         if table != self.table {
             return false;
@@ -120,8 +131,12 @@ impl RuleChange {
         }
         let mut seen = *wc;
         seen.set_field(&fields::METADATA);
-        key.masked(&seen)
-            .matches(&self.key.masked(&seen), &self.mask)
+        let agree_on = (0..STAGES.len())
+            .map(|s| stage_prefix(&self.mask, s))
+            .take_while(|p| p.subset_of(&seen))
+            .last()
+            .unwrap_or(FlowMask::EMPTY);
+        key.matches(&self.key, &agree_on)
     }
 }
 
@@ -328,18 +343,22 @@ impl Ofproto {
                 }
                 break;
             };
-            let (entry, rule_mask) = match cls.lookup_wc(&work_key, &mut wc) {
-                Some(r) => (Rc::clone(&r.value), r.mask),
-                None => {
-                    // A miss must be as specific as anything that could
-                    // have matched in this table.
-                    let tm = cls.total_mask();
-                    wc.unite(&tm);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.note(format!("table {table}: no match -> drop"));
-                    }
-                    break;
+            let stops_before = cls.stats.stage_stops;
+            let found = cls
+                .lookup_wc(&work_key, &mut wc)
+                .map(|r| (Rc::clone(&r.value), r.mask));
+            if let Some(t) = trace.as_deref_mut() {
+                t.note(stage_stops_note(
+                    table,
+                    &stops_before,
+                    &cls.stats.stage_stops,
+                ));
+            }
+            let Some((entry, rule_mask)) = found else {
+                if let Some(t) = trace.as_deref_mut() {
+                    t.note(format!("table {table}: no match -> drop"));
                 }
+                break;
             };
             wc.unite(&rule_mask);
             matched.push(Rc::clone(&entry));
@@ -454,6 +473,22 @@ impl Ofproto {
     }
 }
 
+/// The `ofproto/trace` line explaining a lookup's wildcards: how many
+/// subtables it probed and the stage each probe stopped at.
+fn stage_stops_note(table: u8, before: &[u64], after: &[u64]) -> String {
+    let stops: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    let by_stage: Vec<String> = STAGES
+        .iter()
+        .zip(&stops)
+        .map(|(name, n)| format!("{name} {n}"))
+        .collect();
+    format!(
+        "table {table}: probed {} subtables, stopped at {}",
+        stops.iter().sum::<u64>(),
+        by_stage.join(", ")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,6 +546,31 @@ mod tests {
         // The megaflow must match on tp_dst so port-443 traffic doesn't
         // share the drop flow.
         assert!(FlowMask::of_fields(&[&TP_DST]).subset_of(&t.mask));
+    }
+
+    #[test]
+    fn table_miss_carries_only_the_stages_probed() {
+        let mut of = Ofproto::new();
+        // Metadata and tp_dst: a key with other metadata misses at the
+        // metadata stage, so the drop flow stays wildcarded on tp_dst.
+        let mut key = FlowKey::default();
+        key.set_metadata(7);
+        key.set_tp_dst(443);
+        let mask = FlowMask::of_fields(&[&fields::METADATA, &TP_DST]);
+        of.add_rule(OfRule {
+            table: 0,
+            priority: 5,
+            key,
+            mask,
+            actions: vec![OfAction::Output(9)],
+            cookie: 0,
+        });
+        let t = of.translate(&key_on_port(1));
+        assert!(t.actions.is_empty(), "miss drops");
+        assert_eq!(
+            t.mask,
+            FlowMask::of_fields(&[&IN_PORT, &fields::RECIRC_ID, &fields::METADATA]),
+        );
     }
 
     #[test]

@@ -562,6 +562,16 @@ impl PmdSet {
         sum == *global && sum.coherent()
     }
 
+    /// [`coherent_with`](Self::coherent_with) against a datapath's
+    /// counters as they stand, sweeps and flow_mods included: the
+    /// per-PMD deltas plus the control plane's own changes
+    /// ([`DpifNetdev::control_stats`]) sum to `dp.stats`.
+    pub fn coherent_with_datapath(&self, dp: &DpifNetdev) -> bool {
+        let mut sum = self.stats_sum();
+        sum.accumulate(&dp.control_stats);
+        sum == dp.stats && sum.coherent()
+    }
+
     /// `ovs-appctl dpif-netdev/pmd-rxq-show`: per-PMD isolation flag and
     /// polled rxqs with their measured load share.
     pub fn pmd_rxq_show(&self, dp: &DpifNetdev) -> String {

@@ -160,6 +160,68 @@ fn flow_mod_retranslates_only_the_flows_the_rule_can_reach() {
     assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 2);
 }
 
+/// A rule matching `eth_type`, `nw_src` and `tp_dst` — one field in each
+/// of the L2, L3 and L4 lookup stages.
+fn staged_rule(eth_type: u16, nw_src: [u8; 4], tp_dst: u16) -> OfRule {
+    let mut key = FlowKey::default();
+    key.set_eth_type_raw(eth_type);
+    key.set_nw_src_v4(nw_src);
+    key.set_tp_dst(tp_dst);
+    let mut mask = FlowMask::of_fields(&[&fields::ETH_TYPE, &fields::TP_DST]);
+    mask.set_nw_src_v4_prefix(32);
+    OfRule {
+        table: 0,
+        priority: 20,
+        key,
+        mask,
+        actions: vec![OfAction::Output(2)],
+        cookie: 0,
+    }
+}
+
+#[test]
+fn flow_mod_reaches_flows_by_the_stages_their_lookup_examined() {
+    let (mut k, mut dp, nics) = setup();
+    // The frame (IPv4 10.0.0.1 -> 10.0.0.2, tp_dst 6000) misses an ARP
+    // rule at the L2 stage, misses a tp_dst-only rule in full, and
+    // matches the in_port rule: its megaflow examines eth_type and
+    // tp_dst, but not nw_src.
+    dp.ofproto
+        .add_rule(staged_rule(0x0806, [10, 0, 0, 1], 6000));
+    let mut port_key = FlowKey::default();
+    port_key.set_tp_dst(9999);
+    dp.ofproto.add_rule(OfRule {
+        table: 0,
+        priority: 15,
+        key: port_key,
+        mask: FlowMask::of_fields(&[&fields::TP_DST]),
+        actions: vec![OfAction::Drop],
+        cookie: 0,
+    });
+    dp.ofproto.add_rule(fwd_rule(0, 1, 10));
+    k.receive(nics[0], 0, frame());
+    dp.pmd_poll(&mut k, 0, 0, 1);
+    assert_eq!(dp.megaflow_count(), 1);
+    let dumped = dp.revalidator.stats.flows_dumped;
+
+    // Agrees with the flow on L2 and L3, differs on tp_dst: it matches
+    // none of the flow's packets, but their lookups now pass the L3
+    // stage and un-wildcard nw_src, so the flow's mask changes. The
+    // flow examined tp_dst, but not the L3 stage before it.
+    dp.flow_mod(staged_rule(0x0800, [10, 0, 0, 1], 7000));
+    assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 1);
+    assert_eq!(dp.megaflow_count(), 0, "the re-translated mask changed");
+
+    // The re-installed flow examines nw_src. A rule that differs from
+    // it there reaches it no more.
+    k.receive(nics[0], 0, frame());
+    dp.pmd_poll(&mut k, 0, 0, 1);
+    assert_eq!(dp.megaflow_count(), 1);
+    dp.flow_mod(staged_rule(0x0800, [10, 0, 0, 9], 6000));
+    assert_eq!(dp.revalidator.stats.flows_dumped, dumped + 1);
+    assert_eq!(dp.revalidate_changed(), 0, "and it changed nothing");
+}
+
 #[test]
 fn pmd_stats_report_cache_distribution() {
     let (mut k, mut dp, nics) = setup();

@@ -167,6 +167,51 @@ proptest! {
     }
 }
 
+/// Sweeps and flow_mods delete flows outside any PMD poll, so the
+/// per-PMD deltas alone stop summing to the datapath's counters; with
+/// the control plane's own changes added, they sum again exactly.
+#[test]
+fn pmd_stats_stay_coherent_across_sweeps_and_flow_mods() {
+    let (mut k, mut dp, nics) = setup();
+    let mut pmds = PmdSet::new(&[8, 9], AssignmentPolicy::RoundRobin);
+    pmds.add_port_rxqs(0, NQ);
+    pmds.rebalance();
+    let traffic = |k: &mut Kernel, dp: &mut DpifNetdev, pmds: &mut PmdSet| {
+        for q in 0..NQ {
+            k.receive(nics[0], q, frame(q as u16));
+        }
+        pmds.run_round(dp, k);
+    };
+
+    // Traffic, then a sweep once the flow has idled out.
+    traffic(&mut k, &mut dp, &mut pmds);
+    k.sim.clock.advance(11_000_000_000);
+    let s = pmds.revalidate(&mut dp, &mut k, 8);
+    assert_eq!(s.deleted_idle, 1);
+
+    // Traffic again, then a flow_mod that redirects it: the flow it
+    // re-installed changed translation and is deleted.
+    traffic(&mut k, &mut dp, &mut pmds);
+    let mut key = FlowKey::default();
+    key.set_in_port(0);
+    dp.flow_mod(OfRule {
+        table: 0,
+        priority: 10,
+        key,
+        mask: FlowMask::of_fields(&[&fields::IN_PORT]),
+        actions: vec![OfAction::Output(0)],
+        cookie: 0,
+    });
+    assert_eq!(dp.megaflow_count(), 0, "the changed flow was deleted");
+    assert_eq!(dp.stats.flows_deleted, 2);
+    assert_eq!(dp.control_stats.flows_deleted, 2);
+
+    assert!(!pmds.coherent_with(&dp.stats), "no PMD made the deletions");
+    assert!(pmds.coherent_with_datapath(&dp), "{:?}", dp.stats);
+    traffic(&mut k, &mut dp, &mut pmds);
+    assert!(pmds.coherent_with_datapath(&dp), "{:?}", dp.stats);
+}
+
 /// Seeded auto-lb run: the `group` policy with no load measurements
 /// piles every rxq onto the first PMD (all estimated loads are zero, so
 /// the lowest core always looks least loaded). Under a skewed workload

@@ -369,8 +369,17 @@ impl FlowMask {
     }
 
     /// Construct from raw words.
-    pub fn from_words(words: [u64; WORDS]) -> Self {
+    pub const fn from_words(words: [u64; WORDS]) -> Self {
         Self { words }
+    }
+
+    /// The bits set in both masks.
+    pub fn intersect(&self, other: &FlowMask) -> FlowMask {
+        let mut out = *self;
+        for (a, b) in out.words.iter_mut().zip(other.words.iter()) {
+            *a &= b;
+        }
+        out
     }
 
     /// OR another mask into this one (union of significant bits). This is

@@ -163,7 +163,7 @@ pass 1: flow in_port=2,eth_type=0x0800,nw_src=10.101.0.2,nw_dst=10.102.0.2,nw_pr
     ct(zone=1,commit=false): verdict ct_state=0x03
     recirc(0x1)
 pass 2: flow in_port=2,eth_type=0x0800,nw_src=10.101.0.2,nw_dst=10.102.0.2,nw_proto=17,tp_src=3333,tp_dst=4444,recirc_id=0x1,ct_state=0x03
-    cache: megaflow hit (mask 234 bits)
+    cache: megaflow hit (mask 218 bits)
     Datapath actions: [Ct { zone: 100, commit: true, nat: None }, Recirc(2)]
     ct(zone=100,commit=true): verdict ct_state=0x05
     recirc(0x2)

@@ -77,7 +77,7 @@ const GOLDEN_DUMP: &str = "\
 in_port(1),recirc(0),eth_type(0x0000),tun_id(5000) packets:14 bytes:2800 used:0.000s mask_bits:192 actions:[Ct { zone: 100, commit: false, nat: None }, Recirc(3)]
 in_port(1),recirc(3),eth_type(0x0000),ct_state(0x04) packets:14 bytes:2800 used:0.000s mask_bits:113 actions:[Output(2)]
 in_port(2),recirc(0),eth_type(0x0000) packets:15 bytes:3000 used:0.000s mask_bits:128 actions:[Ct { zone: 1, commit: false, nat: None }, Recirc(1)]
-in_port(2),recirc(1),eth_type(0x0800),ipv4(src=10.101.0.2,dst=10.102.0.2),ct_state(0x02) packets:15 bytes:3000 used:0.000s mask_bits:234 actions:[Ct { zone: 100, commit: true, nat: None }, Recirc(2)]
+in_port(2),recirc(1),eth_type(0x0800),ipv4(src=10.101.0.2,dst=10.102.0.2),ct_state(0x02) packets:15 bytes:3000 used:0.000s mask_bits:218 actions:[Ct { zone: 100, commit: true, nat: None }, Recirc(2)]
 in_port(2),recirc(2),eth_type(0x0000) packets:15 bytes:3000 used:0.000s mask_bits:112 actions:[SetTunnel { id: 5000, dst: [172, 16, 0, 2] }, Output(1)]
 ";
 const GOLDEN_WAIT_2: &str = "revalidation complete: 5 flows dumped, \
