@@ -3,9 +3,10 @@
 //! mechanism behind the paper's 1 vs 1,000 flow results.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ovs_core::cache::{Emc, MegaflowCache};
+use ovs_core::cache::Emc;
 use ovs_core::ofproto::Ofproto;
 use ovs_packet::flow::{fields, FlowKey, FlowMask, Miniflow};
+use ovs_packet::MegaflowCache;
 use std::hint::black_box;
 use std::rc::Rc;
 

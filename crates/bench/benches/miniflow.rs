@@ -4,8 +4,8 @@
 //! signature compare loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ovs_core::cache::MegaflowCache;
 use ovs_packet::flow::{extract_flow_key, extract_miniflow, fields, FlowMask, Miniflow};
+use ovs_packet::MegaflowCache;
 use ovs_packet::{builder, DpPacket, MacAddr};
 use std::hint::black_box;
 

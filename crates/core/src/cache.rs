@@ -1,5 +1,6 @@
-//! The datapath flow caches: exact-match cache (EMC), signature match
-//! cache (SMC), and megaflow cache.
+//! The userspace datapath's per-PMD flow caches: the exact-match cache
+//! (EMC) and the signature match cache (SMC), in front of the megaflow
+//! cache.
 //!
 //! The fast path is a multi-level hierarchy (§5.2, \[56\]):
 //!
@@ -10,7 +11,10 @@
 //!    megaflow, so it can never forward on a colliding signature. OVS's
 //!    `smc-enable` tier, off by default.
 //! 3. **Megaflow cache** — a tuple-space-search table over the wildcarded
-//!    entries produced by slow-path translation.
+//!    entries produced by slow-path translation:
+//!    [`ovs_packet::MegaflowCache`], the same table the kernel module
+//!    uses, so the EMC and SMC here hold references to its
+//!    [`MegaflowEntry`]s.
 //! 4. **Upcall** — the full OpenFlow pipeline (`ofproto`), which installs a
 //!    new megaflow.
 //!
@@ -18,67 +22,8 @@
 //! rejected as an eBPF map type (§2.2.2 footnote), which is why the eBPF
 //! datapath couldn't have it.
 
-use crate::classifier::{Classifier, Rule};
-use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
-use std::cell::Cell;
-use std::collections::HashMap;
+use ovs_packet::{MegaflowEntry, Miniflow};
 use std::rc::Rc;
-
-/// A cached megaflow: the actions to run and the wildcard mask it was
-/// installed under, plus the per-flow stats the revalidator dumps
-/// (`n_packets`/`n_bytes`/`used`, as in `dpctl/dump-flows`).
-#[derive(Debug, PartialEq)]
-pub struct MegaflowEntry<A> {
-    /// Masked match key.
-    pub key: FlowKey,
-    /// Wildcards accumulated during translation.
-    pub mask: FlowMask,
-    /// Sparse form of `key`, precomputed at install so fast-path verifies
-    /// never expand.
-    pub mini_key: Miniflow,
-    /// Sparse form of `mask`; its populated slots are all a masked verify
-    /// or hash touches.
-    pub mini_mask: MiniMask,
-    /// Datapath actions.
-    pub actions: A,
-    /// Hits (`n_packets`).
-    pub hits: Cell<u64>,
-    /// Bytes forwarded (`n_bytes`).
-    pub bytes: Cell<u64>,
-    /// Sim-time of the last hit (`used`); 0 = never.
-    pub used_ns: Cell<u64>,
-    /// Sim-time of installation (hard-timeout base).
-    pub created_ns: Cell<u64>,
-    /// Set when the megaflow is removed from the cache while an EMC
-    /// slot (or other holder of the `Rc`) may still reference it; a dead
-    /// entry must never forward a packet.
-    pub dead: Cell<bool>,
-}
-
-impl<A> MegaflowEntry<A> {
-    /// A fresh entry created at sim-time `now_ns`.
-    pub fn new(key: FlowKey, mask: FlowMask, actions: A, now_ns: u64) -> Self {
-        Self {
-            mini_key: Miniflow::from_key(&key),
-            mini_mask: MiniMask::from_mask(&mask),
-            key,
-            mask,
-            actions,
-            hits: Cell::new(0),
-            bytes: Cell::new(0),
-            used_ns: Cell::new(now_ns),
-            created_ns: Cell::new(now_ns),
-            dead: Cell::new(false),
-        }
-    }
-
-    /// Record one forwarded packet of `len` bytes at sim-time `now_ns`.
-    /// (The packet count itself is bumped by the cache lookup.)
-    pub fn note_use(&self, len: usize, now_ns: u64) {
-        self.bytes.set(self.bytes.get() + len as u64);
-        self.used_ns.set(now_ns);
-    }
-}
 
 /// Default EMC capacity, as in OVS (`EM_FLOW_HASH_ENTRIES`).
 pub const EMC_ENTRIES: usize = 8192;
@@ -270,7 +215,7 @@ impl<A> Smc<A> {
 
     /// Probe for a sparse key; `hash` is the packet's cached
     /// extracted-slot hash. A signature match alone is not a hit: the
-    /// sparse masked verify ([`MiniMask::matches`], populated slots only)
+    /// sparse masked verify ([`ovs_packet::MiniMask::matches`], populated slots only)
     /// must pass, and the megaflow must be alive. Dead entries are
     /// reclaimed in place.
     pub fn lookup(&mut self, key: &Miniflow, hash: u64) -> Option<Rc<MegaflowEntry<A>>> {
@@ -352,226 +297,11 @@ impl<A> Default for Smc<A> {
     }
 }
 
-/// The megaflow cache: a priority-free tuple-space-search table of
-/// [`MegaflowEntry`]s.
-#[derive(Debug)]
-pub struct MegaflowCache<A> {
-    cls: Classifier<Rc<MegaflowEntry<A>>>,
-    /// Exact map for removal bookkeeping: masked key → entry.
-    installed: HashMap<FlowKey, Rc<MegaflowEntry<A>>>,
-    /// Hits.
-    pub hits: u64,
-    /// Misses (upcalls).
-    pub misses: u64,
-    /// Bumped on every install/remove/flush. A bulk-probe miss verdict
-    /// stays valid as long as the generation is unchanged, so the caller
-    /// can skip the scalar re-probe when no flow was installed since.
-    generation: u64,
-}
-
-impl<A> MegaflowCache<A> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self {
-            cls: Classifier::without_stage_index(),
-            installed: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            generation: 0,
-        }
-    }
-
-    /// Table-change generation (installs, removals, flushes).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Count a definitive miss established by an earlier bulk probe
-    /// whose verdict is still valid (same [`Self::generation`]).
-    pub fn count_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Number of megaflows.
-    pub fn len(&self) -> usize {
-        self.cls.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.cls.is_empty()
-    }
-
-    /// Distinct masks (subtables probed per miss).
-    pub fn subtable_count(&self) -> usize {
-        self.cls.subtable_count()
-    }
-
-    /// Subtables probed so far (work metric).
-    pub fn subtables_probed(&self) -> u64 {
-        self.cls.stats.subtables_probed
-    }
-
-    /// Wide-lane bulk steps executed so far (the bulk-probe work metric:
-    /// one step = one ≤`lane_width`-key signature pass over a subtable).
-    pub fn lane_steps(&self) -> u64 {
-        self.cls.stats.lane_steps
-    }
-
-    /// Keys carried through bulk steps (occupancy numerator).
-    pub fn lane_keys(&self) -> u64 {
-        self.cls.stats.lane_keys
-    }
-
-    /// Keys probed per bulk step.
-    pub fn lane_width(&self) -> usize {
-        self.cls.lane_width
-    }
-
-    /// Set the bulk-probe lane width (1 = scalar-equivalent probing).
-    pub fn set_lane_width(&mut self, lane: usize) {
-        self.cls.lane_width = lane.max(1);
-    }
-
-    /// Snapshot of the dpcls subtables in probe (rank) order, for
-    /// `dpif-netdev/subtable-ranking`.
-    pub fn subtable_info(&self) -> Vec<crate::classifier::SubtableInfo> {
-        self.cls.subtable_info()
-    }
-
-    /// How often the classifier re-sorts its subtable probe order
-    /// (lookups between re-ranks).
-    pub fn set_rank_interval(&mut self, interval: u64) {
-        self.cls.rank_interval = interval.max(1);
-    }
-
-    /// Look up a full key (slow path / diagnostics).
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<Rc<MegaflowEntry<A>>> {
-        self.lookup_mini(&Miniflow::from_key(key))
-    }
-
-    /// Look up one sparse key.
-    pub fn lookup_mini(&mut self, key: &Miniflow) -> Option<Rc<MegaflowEntry<A>>> {
-        match self.cls.lookup_mini(key) {
-            Some(r) => {
-                self.hits += 1;
-                let e = Rc::clone(&r.value);
-                e.hits.set(e.hits.get() + 1);
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Probe a whole burst of sparse keys in wide lanes (valid here
-    /// because every megaflow rule has priority 0 and installed entries
-    /// are disjoint — first match in ranked order is *the* match). Keys
-    /// leave the probe set as they match; see
-    /// [`Classifier::lookup_bulk`].
-    ///
-    /// Only hits are counted here: the caller re-probes each bulk miss
-    /// with a scalar [`Self::lookup_mini`] before upcalling (an earlier
-    /// miss in the same burst may have installed the flow), and that
-    /// re-probe is where the hit-or-miss verdict lands.
-    pub fn lookup_bulk(&mut self, keys: &[Miniflow]) -> Vec<Option<Rc<MegaflowEntry<A>>>> {
-        let results: Vec<Option<Rc<MegaflowEntry<A>>>> = self
-            .cls
-            .lookup_bulk(keys)
-            .into_iter()
-            .map(|r| r.map(|r| Rc::clone(&r.value)))
-            .collect();
-        for e in results.iter().flatten() {
-            self.hits += 1;
-            e.hits.set(e.hits.get() + 1);
-        }
-        results
-    }
-
-    /// Install a megaflow produced by translation (created/used = 0; the
-    /// datapath uses [`install_at`](Self::install_at)).
-    pub fn install(&mut self, key: FlowKey, mask: FlowMask, actions: A) -> Rc<MegaflowEntry<A>> {
-        self.install_at(key, mask, actions, 0)
-    }
-
-    /// Install a megaflow produced by translation at sim-time `now_ns`.
-    /// Reinstalling over an existing masked key kills the old entry
-    /// (any EMC reference to it must not survive the replacement).
-    pub fn install_at(
-        &mut self,
-        key: FlowKey,
-        mask: FlowMask,
-        actions: A,
-        now_ns: u64,
-    ) -> Rc<MegaflowEntry<A>> {
-        self.generation += 1;
-        let masked = key.masked(&mask);
-        let entry = Rc::new(MegaflowEntry::new(masked, mask, actions, now_ns));
-        if let Some(old) = self.installed.remove(&masked) {
-            old.dead.set(true);
-            self.cls.remove(&masked, &old.mask);
-        }
-        self.cls.insert(Rule {
-            key: masked,
-            mask,
-            priority: 0,
-            value: Rc::clone(&entry),
-        });
-        self.installed.insert(masked, entry.clone());
-        entry
-    }
-
-    /// Whether a megaflow with this masked key is installed.
-    pub fn contains(&self, masked_key: &FlowKey) -> bool {
-        self.installed.contains_key(masked_key)
-    }
-
-    /// The installed entry for a masked key, if any.
-    pub fn get(&self, masked_key: &FlowKey) -> Option<&Rc<MegaflowEntry<A>>> {
-        self.installed.get(masked_key)
-    }
-
-    /// Remove one megaflow, marking the entry dead for any EMC holders.
-    pub fn remove(&mut self, masked_key: &FlowKey) -> bool {
-        self.generation += 1;
-        match self.installed.remove(masked_key) {
-            Some(e) => {
-                e.dead.set(true);
-                self.cls.remove(masked_key, &e.mask) > 0
-            }
-            None => false,
-        }
-    }
-
-    /// Drop everything (OpenFlow table change revalidation). All entries
-    /// are marked dead so EMC references cannot forward stale flows.
-    pub fn flush(&mut self) {
-        self.generation += 1;
-        for e in self.installed.values() {
-            e.dead.set(true);
-        }
-        self.cls.clear();
-        self.installed.clear();
-    }
-
-    /// Iterate over installed megaflows (masked key, mask, hits, actions).
-    pub fn iter(&self) -> impl Iterator<Item = &Rc<MegaflowEntry<A>>> + '_ {
-        self.cls.iter().map(|r| &r.value)
-    }
-}
-
-impl<A> Default for MegaflowCache<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ovs_packet::flow::fields;
+    use ovs_packet::{FlowKey, FlowMask, MegaflowCache};
 
     fn key(n: u8) -> FlowKey {
         let mut k = FlowKey::default();
@@ -626,34 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn megaflow_wildcard_hit() {
-        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
-        // Megaflow matching only on nw_dst.
-        let mask = FlowMask::of_fields(&[&fields::NW_DST]);
-        mf.install(key(5), mask, 55);
-        // Any key with the same nw_dst matches regardless of ports.
-        let mut probe = key(5);
-        probe.set_tp_dst(9999);
-        let hit = mf.lookup(&probe).unwrap();
-        assert_eq!(hit.actions, 55);
-        assert_eq!(mf.hits, 1);
-        assert!(mf.lookup(&key(6)).is_none());
-        assert_eq!(mf.misses, 1);
-    }
-
-    #[test]
-    fn megaflow_remove_and_flush() {
-        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
-        let mask = FlowMask::of_fields(&[&fields::NW_DST]);
-        let e = mf.install(key(5), mask, 1);
-        assert!(mf.remove(&e.key));
-        assert!(mf.lookup(&key(5)).is_none());
-        mf.install(key(6), mask, 2);
-        mf.flush();
-        assert!(mf.is_empty());
-    }
-
-    #[test]
     fn emc_never_serves_dead_entries() {
         let mut emc: Emc<u32> = Emc::with_capacity(64);
         let mut mf: MegaflowCache<u32> = MegaflowCache::new();
@@ -661,7 +363,7 @@ mod tests {
         emc.insert(m(1), h(1), Rc::clone(&e));
         assert!(emc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the EMC alias must miss.
-        assert!(mf.remove(&e.key));
+        assert!(mf.remove(&e.key, &e.mask));
         assert!(
             emc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from EMC"
@@ -680,30 +382,6 @@ mod tests {
         mf.flush(); // marks everything dead
         assert_eq!(emc.purge_dead(), 8);
         assert!(emc.is_empty());
-    }
-
-    #[test]
-    fn reinstall_kills_replaced_entry() {
-        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
-        let mask = FlowMask::of_fields(&[&fields::NW_DST]);
-        let old = mf.install_at(key(5), mask, 1, 10);
-        let new = mf.install_at(key(5), mask, 2, 20);
-        assert!(old.dead.get(), "replaced entry is dead");
-        assert!(!new.dead.get());
-        assert_eq!(mf.len(), 1, "replacement, not growth");
-        assert_eq!(mf.lookup(&key(5)).unwrap().actions, 2);
-    }
-
-    #[test]
-    fn entry_stats_accumulate() {
-        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
-        let e = mf.install_at(key(5), FlowMask::EXACT, 1, 50);
-        assert_eq!(e.created_ns.get(), 50);
-        assert_eq!(e.used_ns.get(), 50);
-        e.note_use(100, 60);
-        e.note_use(50, 75);
-        assert_eq!(e.bytes.get(), 150);
-        assert_eq!(e.used_ns.get(), 75);
     }
 
     #[test]
@@ -731,7 +409,7 @@ mod tests {
         assert!(smc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the SMC alias must miss
         // and the slot is reclaimed in place.
-        assert!(mf.remove(&e.key));
+        assert!(mf.remove(&e.key, &e.mask));
         assert!(
             smc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from SMC"

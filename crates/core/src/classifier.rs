@@ -9,16 +9,13 @@
 //!
 //! Within a priority tier, subtables are additionally *ranked* by hit
 //! count and periodically re-sorted (OVS's `dpcls_sort_subtable_vector`),
-//! so skewed traffic probes its hot subtable first. For the megaflow
-//! cache — where every entry has priority 0 and a lookup stops at the
-//! first match — ranking directly cuts `subtables_probed`.
+//! so skewed traffic probes its hot subtable first. The megaflow cache
+//! ([`ovs_packet::MegaflowCache`]) is a separate, priority-free table with
+//! the same ranking; this classifier holds OpenFlow rules only.
 //!
 //! Subtables store and match rules as sparse [`Miniflow`]s under a
 //! [`MiniMask`]: masking, hashing, and comparing touch only the mask's
-//! populated 8-byte slots. [`Classifier::lookup_bulk`] probes a whole
-//! burst against each subtable in wide lanes (one signature pass per
-//! `lane_width` keys, upstream's AVX-512 `dpcls_subtable_lookup` shape),
-//! removing keys from the remaining set as they match.
+//! populated 8-byte slots.
 //!
 //! [`Classifier::lookup_wc`], the lookup translation uses, is *staged*
 //! (upstream `lib/classifier.c`; Pfaff et al., NSDI'15): each subtable is
@@ -29,6 +26,7 @@
 //! the L4 ports wildcarded, so a megaflow is not per-connection just
 //! because the table holds 5-tuple rules for other addresses.
 
+use ovs_packet::megaflow::DEFAULT_RANK_INTERVAL;
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -175,8 +173,7 @@ struct Subtable<V> {
     rule_count: usize,
     /// Lookups this subtable answered (the ranking key).
     hits: u64,
-    /// The staged probe's prefix indices, in stage order (empty on a
-    /// classifier without the stage index).
+    /// The staged probe's prefix indices, in stage order.
     index: Vec<StageIndex>,
     /// The last stage the mask touches, where a probe that passes every
     /// prefix stops.
@@ -221,25 +218,10 @@ pub struct SubtableInfo {
 pub struct ClassifierStats {
     pub lookups: u64,
     pub subtables_probed: u64,
-    /// Wide-lane bulk steps executed: one per `ceil(keys/lane)` per
-    /// subtable probed by [`Classifier::lookup_bulk`].
-    pub lane_steps: u64,
-    /// Keys carried through bulk steps (occupancy numerator: a fully
-    /// packed run has `lane_keys == lane_steps * lane_width`).
-    pub lane_keys: u64,
     /// [`Classifier::lookup_wc`] subtable probes by the [stage](STAGES)
     /// they stopped at: the last stage whose fields they un-wildcarded.
     pub stage_stops: [u64; STAGES.len()],
 }
-
-/// Lookups between subtable-ranking re-sorts (OVS re-sorts its pvector
-/// once per second; a lookup count is the deterministic stand-in).
-pub const DEFAULT_RANK_INTERVAL: u64 = 256;
-
-/// Default bulk-probe lane width: AVX-512 compares eight 64-bit
-/// signatures per instruction, so upstream's vectorized dpcls probes
-/// eight keys per subtable pass.
-pub const DEFAULT_LANE_WIDTH: usize = 8;
 
 /// The tuple-space-search classifier.
 #[derive(Debug)]
@@ -249,12 +231,7 @@ pub struct Classifier<V> {
     pub stats: ClassifierStats,
     /// Lookups between hit-count re-sorts of the subtable vector.
     pub rank_interval: u64,
-    /// Keys probed per bulk step ([`Classifier::lookup_bulk`]).
-    pub lane_width: usize,
     since_rank: u64,
-    /// Whether subtables keep the stage index [`Classifier::lookup_wc`]
-    /// probes.
-    staged: bool,
 }
 
 impl<V> Default for Classifier<V> {
@@ -264,26 +241,13 @@ impl<V> Default for Classifier<V> {
 }
 
 impl<V> Classifier<V> {
-    /// An empty classifier, keeping the stage index that
-    /// [`lookup_wc`](Self::lookup_wc) probes.
+    /// An empty classifier.
     pub fn new() -> Self {
         Self {
             subtables: Vec::new(),
             stats: ClassifierStats::default(),
             rank_interval: DEFAULT_RANK_INTERVAL,
-            lane_width: DEFAULT_LANE_WIDTH,
             since_rank: 0,
-            staged: true,
-        }
-    }
-
-    /// An empty classifier without the stage index, for a table that
-    /// never tracks wildcards (the megaflow cache): inserts and removes
-    /// skip the index upkeep, and [`lookup_wc`](Self::lookup_wc) panics.
-    pub(crate) fn without_stage_index() -> Self {
-        Self {
-            staged: false,
-            ..Self::new()
         }
     }
 
@@ -323,7 +287,7 @@ impl<V> Classifier<V> {
                     max_priority: i32::MIN,
                     rule_count: 0,
                     hits: 0,
-                    index: if self.staged { index } else { Vec::new() },
+                    index,
                     last_stage,
                 });
                 self.subtables.len() - 1
@@ -399,49 +363,12 @@ impl<V> Classifier<V> {
         removed
     }
 
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.subtables.clear();
-    }
-
-    /// Find the highest-priority matching rule. Also reports how many
-    /// subtables were probed (the classifier's work metric), and feeds
-    /// the hit-count ranking that periodically re-sorts the vector.
+    /// Find the highest-priority matching rule, for a caller that does
+    /// not track wildcards (see [`lookup_wc`](Self::lookup_wc)). Also
+    /// counts the subtables probed (the classifier's work metric), and
+    /// feeds the hit-count ranking that periodically re-sorts the vector.
     pub fn lookup(&mut self, key: &FlowKey) -> Option<&Rule<V>> {
-        self.lookup_mini(&Miniflow::from_key(key))
-    }
-
-    /// [`Classifier::lookup`] on an already-extracted sparse key — the
-    /// fast-path entry point; every per-subtable probe masks and compares
-    /// only the subtable's populated slots.
-    pub fn lookup_mini(&mut self, key: &Miniflow) -> Option<&Rule<V>> {
-        self.stats.lookups += 1;
-        self.maybe_rerank();
-        let mut best: Option<(usize, i32)> = None;
-        for (i, st) in self.subtables.iter().enumerate() {
-            if let Some((_, bp)) = best {
-                if st.max_priority <= bp {
-                    break; // no remaining subtable can outrank the match
-                }
-            }
-            self.stats.subtables_probed += 1;
-            let masked = st.mini_mask.apply(key);
-            if let Some(bucket) = st.rules.get(&masked) {
-                // Buckets are sorted by descending priority.
-                let r = &bucket[0];
-                match best {
-                    Some((_, bp)) if bp >= r.priority => {}
-                    _ => best = Some((i, r.priority)),
-                }
-            }
-        }
-        let (i, prio) = best?;
-        self.subtables[i].hits += 1;
-        let st = &self.subtables[i];
-        let masked = st.mini_mask.apply(key);
-        st.rules
-            .get(&masked)
-            .and_then(|b| b.iter().find(|r| r.priority == prio))
+        self.lookup_wc(key, &mut FlowMask::default())
     }
 
     /// [`Classifier::lookup`] that also unites into `wc` the fields of
@@ -463,7 +390,6 @@ impl<V> Classifier<V> {
     /// which is still sound. A table miss has probed every subtable this
     /// way, so it needs no wildcards beyond `wc`.
     pub fn lookup_wc(&mut self, key: &FlowKey, wc: &mut FlowMask) -> Option<&Rule<V>> {
-        assert!(self.staged, "lookup_wc needs the stage index");
         self.stats.lookups += 1;
         self.maybe_rerank();
         let mf = Miniflow::from_key(key);
@@ -503,62 +429,6 @@ impl<V> Classifier<V> {
         st.rules
             .get(&masked)
             .and_then(|b| b.iter().find(|r| r.priority == prio))
-    }
-
-    /// Probe a whole burst of keys in wide lanes: per subtable, the
-    /// still-unmatched keys are masked, hashed, and compared in groups of
-    /// [`Classifier::lane_width`] (`stats.lane_steps` counts the groups),
-    /// and a key that matches leaves the remaining set — upstream
-    /// `dpcls_lookup`'s `keys_map` walk over vectorized subtable probes.
-    ///
-    /// First-match-in-ranked-order equals highest-priority-match only
-    /// when every subtable sits in one priority tier, which holds for the
-    /// megaflow cache (all rules priority 0, entries disjoint); callers
-    /// with mixed priorities must use the scalar lookup.
-    pub fn lookup_bulk(&mut self, keys: &[Miniflow]) -> Vec<Option<&Rule<V>>> {
-        debug_assert!(
-            self.subtables
-                .windows(2)
-                .all(|w| w[0].max_priority == w[1].max_priority),
-            "bulk lookup requires a single priority tier"
-        );
-        let lane = self.lane_width.max(1);
-        self.stats.lookups += keys.len() as u64;
-        self.since_rank += keys.len() as u64;
-        if self.since_rank >= self.rank_interval {
-            self.since_rank = 0;
-            self.sort_subtables();
-        }
-        let mut found: Vec<Option<(usize, Miniflow)>> = vec![None; keys.len()];
-        let mut remaining: Vec<usize> = (0..keys.len()).collect();
-        for (si, st) in self.subtables.iter_mut().enumerate() {
-            if remaining.is_empty() {
-                break;
-            }
-            let n = remaining.len() as u64;
-            self.stats.subtables_probed += n;
-            self.stats.lane_keys += n;
-            self.stats.lane_steps += remaining.len().div_ceil(lane) as u64;
-            remaining.retain(|&ki| {
-                let masked = st.mini_mask.apply(&keys[ki]);
-                if st.rules.contains_key(&masked) {
-                    st.hits += 1;
-                    found[ki] = Some((si, masked));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        found
-            .into_iter()
-            .map(|f| {
-                f.map(|(si, masked)| {
-                    // Buckets are sorted by descending priority.
-                    &self.subtables[si].rules[&masked][0]
-                })
-            })
-            .collect()
     }
 
     /// Iterate over all rules (diagnostics, rule counting).
@@ -680,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_drops_empty_subtables() {
         let mut c = Classifier::new();
         c.insert(rule([1, 1, 1, 1], 32, 5, 1));
         c.insert(rule([2, 2, 2, 2], 32, 5, 2));
@@ -689,7 +559,7 @@ mod tests {
         assert_eq!(c.remove(&key_dst([1, 1, 1, 1]), &mask), 1);
         assert!(c.lookup(&key_dst([1, 1, 1, 1])).is_none());
         assert!(c.lookup(&key_dst([2, 2, 2, 2])).is_some());
-        c.clear();
+        assert_eq!(c.remove(&key_dst([2, 2, 2, 2]), &mask), 1);
         assert!(c.is_empty());
         assert_eq!(c.subtable_count(), 0);
     }
@@ -766,15 +636,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lookup_wc needs the stage index")]
-    fn lookup_wc_needs_the_stage_index() {
-        let mut c = Classifier::without_stage_index();
-        c.insert(five_tuple([198, 18, 0, 1], 443));
-        let mut wc = FlowMask::EMPTY;
-        c.lookup_wc(&FlowKey::default(), &mut wc);
-    }
-
-    #[test]
     fn ranking_cuts_probes_under_skewed_traffic() {
         // Eight same-priority subtables (/32 .. /25 on distinct octet
         // patterns); traffic hits only the last-inserted one, which
@@ -825,83 +686,6 @@ mod tests {
         assert_eq!(c.lookup(&key_dst([10, 1, 2, 3])).unwrap().value, 1);
         let info = c.subtable_info();
         assert_eq!(info[0].max_priority, 10, "priority order preserved");
-    }
-
-    #[test]
-    fn bulk_lookup_matches_scalar() {
-        // Two same-priority subtables (/16 and /8), a burst mixing hits
-        // in each plus misses: the bulk result must equal key-by-key
-        // scalar lookups.
-        let mut c = Classifier::new();
-        c.insert(rule([10, 1, 0, 0], 16, 0, 200));
-        c.insert(rule([10, 0, 0, 0], 8, 0, 100));
-        let burst = [
-            key_dst([10, 1, 2, 3]), // /16
-            key_dst([10, 9, 9, 9]), // /8
-            key_dst([99, 0, 0, 1]), // miss
-            key_dst([10, 1, 0, 7]), // /16
-        ];
-        let minis: Vec<Miniflow> = burst.iter().map(Miniflow::from_key).collect();
-        let scalar: Vec<Option<u32>> = {
-            let mut c2 = Classifier::new();
-            c2.insert(rule([10, 1, 0, 0], 16, 0, 200));
-            c2.insert(rule([10, 0, 0, 0], 8, 0, 100));
-            burst
-                .iter()
-                .map(|k| c2.lookup(k).map(|r| r.value))
-                .collect()
-        };
-        let bulk: Vec<Option<u32>> = c
-            .lookup_bulk(&minis)
-            .into_iter()
-            .map(|r| r.map(|r| r.value))
-            .collect();
-        assert_eq!(bulk, scalar);
-        assert_eq!(bulk, vec![Some(200), Some(100), None, Some(200)]);
-    }
-
-    #[test]
-    fn bulk_lane_accounting() {
-        // One subtable, lane width 8: a 20-key burst takes ceil(20/8) = 3
-        // steps and carries 20 keys. A matched key leaves the remaining
-        // set, so a second subtable only sees the misses.
-        let mut c = Classifier::new();
-        c.lane_width = 8;
-        for i in 0..4u8 {
-            c.insert(rule([10, 0, 0, i], 32, 0, u32::from(i)));
-        }
-        let minis: Vec<Miniflow> = (0..20u8)
-            .map(|i| Miniflow::from_key(&key_dst([10, 0, 0, i])))
-            .collect();
-        c.stats = ClassifierStats::default();
-        let hits = c.lookup_bulk(&minis).iter().filter(|r| r.is_some()).count();
-        assert_eq!(hits, 4);
-        assert_eq!(c.stats.lane_steps, 3);
-        assert_eq!(c.stats.lane_keys, 20);
-        assert_eq!(c.stats.subtables_probed, 20);
-
-        // Add a second subtable (/8 catch-all): the 16 keys unmatched by
-        // the /32 subtable carry over, 2 more steps.
-        c.insert(rule([10, 0, 0, 0], 8, 0, 999));
-        c.stats = ClassifierStats::default();
-        let results = c.lookup_bulk(&minis);
-        assert!(results.iter().all(|r| r.is_some()));
-        // Ranked order puts the hot /32 subtable first (4 prior hits).
-        assert_eq!(c.stats.lane_steps, 3 + 2);
-        assert_eq!(c.stats.lane_keys, 20 + 16);
-    }
-
-    #[test]
-    fn lookup_mini_equals_lookup() {
-        let mut c = Classifier::new();
-        c.insert(rule([10, 1, 0, 0], 16, 10, 1));
-        c.insert(rule([10, 0, 0, 0], 8, 1, 2));
-        for ip in [[10, 1, 2, 3], [10, 9, 9, 9], [8, 8, 8, 8]] {
-            let k = key_dst(ip);
-            let scalar = c.lookup(&k).map(|r| r.value);
-            let mini = c.lookup_mini(&Miniflow::from_key(&k)).map(|r| r.value);
-            assert_eq!(scalar, mini, "ip {ip:?}");
-        }
     }
 
     #[test]

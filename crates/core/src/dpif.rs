@@ -18,24 +18,24 @@
 //! baseline architecture: it consumes kernel upcalls, translates through
 //! the same `ofproto`, and installs megaflows into the kernel.
 
-use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
+use crate::cache::{Emc, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::{Ofproto, RuleChange};
-use crate::revalidator::{DpFlowTable, FlowStats, Revalidator, SweepSummary, Ukey};
+use crate::revalidator::{DpFlows, Revalidator, SweepSummary, Ukey};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
 use ovs_afxdp::AfxdpPort;
+use ovs_ct::{ConnKey, CtAction, CtTable};
 use ovs_dpdk::{AfPacketDev, EthDev, VhostUserDev};
-use ovs_kernel::conntrack::{ConnKey, CtAction, CtTable};
 use ovs_kernel::rtnetlink::RtnlCache;
 use ovs_kernel::Kernel;
 use ovs_obs::latency::LatencySummary;
 use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
-use ovs_packet::flow::{extract_miniflow, FlowKey, FlowMask, Miniflow, WORDS};
-use ovs_packet::{builder, DpPacket, MacAddr};
+use ovs_packet::flow::{extract_miniflow, Miniflow, WORDS};
+use ovs_packet::{builder, DpPacket, MacAddr, MegaflowCache, MegaflowEntry};
 use ovs_sim::Context;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -201,7 +201,7 @@ pub enum DpAction {
     Ct {
         zone: u16,
         commit: bool,
-        nat: Option<ovs_kernel::conntrack::NatSpec>,
+        nat: Option<ovs_ct::NatSpec>,
     },
     Recirc(u32),
     Meter(u32),
@@ -689,9 +689,8 @@ impl DpifNetdev {
     }
 
     /// `dpif-netdev/subtable-ranking` render: the dpcls subtable probe
-    /// order (hit-count sorted within each priority band), with per-
-    /// subtable hit counts — shows why `subtables_probed` stays low on
-    /// skewed traffic.
+    /// order (hit-count sorted), with per-subtable hit counts — shows why
+    /// `subtables_probed` stays low on skewed traffic.
     pub fn subtable_ranking_show(&self) -> String {
         use std::fmt::Write as _;
         let info = self.megaflow.subtable_info();
@@ -703,11 +702,10 @@ impl DpifNetdev {
         for (rank, s) in info.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "  rank {rank}: mask_bits={} max_priority={} hits={} rules={}",
+                "  rank {rank}: mask_bits={} hits={} flows={}",
                 s.mask.bit_count(),
-                s.max_priority,
                 s.hits,
-                s.rules
+                s.flows
             );
         }
         out
@@ -796,7 +794,7 @@ impl DpifNetdev {
     /// `None`), then purge the EMC and SMC. Returns the number deleted.
     fn retranslate(&mut self, changes: Option<&[RuleChange]>) -> usize {
         let before = self.stats;
-        let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+        let mut flows = netdev_flows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
         let deleted = self.revalidator.retranslate(&mut flows, changes);
         self.control_stats.accumulate(&self.stats.delta(&before));
         self.emc.purge_dead();
@@ -827,7 +825,7 @@ impl DpifNetdev {
                 pushed_bytes: 0,
             })
             .collect();
-        // Classifier iteration order is not deterministic; the snapshot
+        // Megaflow table iteration order is not deterministic; the snapshot
         // must be (byte-identical runs, resumable goldens).
         flows.sort_by_key(|f| f.key.hash());
         for f in &mut flows {
@@ -968,7 +966,7 @@ impl DpifNetdev {
         let now = kernel.sim.clock.now_ns();
         self.maybe_complete_restore(now);
         let before = self.stats;
-        let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+        let mut flows = netdev_flows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
         let ct = &mut self.ct;
         let summary = self.revalidator.sweep(
             &mut flows,
@@ -1799,25 +1797,12 @@ megaflows installed: {}
                 r.credit(1, bp.pkt.len() as u64);
             }
             let now = kernel.sim.clock.now_ns();
-            let masked = key.masked(&t.mask);
-            if self.megaflow.contains(&masked) {
-                // Masked-key collision under a different mask: replace
-                // the stale flow.
-                let mut flows = NetdevFlows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
-                self.revalidator.delete_flow(&mut flows, &masked);
-            }
-            if self.revalidator.should_install(self.megaflow.len()) {
-                let entry = self
-                    .megaflow
-                    .install_at(key, t.mask, t.actions.clone(), now);
+            let mut flows = netdev_flows(&mut self.megaflow, &mut self.ofproto, &mut self.stats);
+            let installed =
+                self.revalidator
+                    .install(&mut flows, &key, t.mask, t.actions.clone(), t.rules, now);
+            if let Some(entry) = installed {
                 self.stats.flows_installed += 1;
-                self.revalidator.register(Ukey::new(
-                    masked,
-                    t.mask,
-                    t.actions.clone(),
-                    t.rules,
-                    now,
-                ));
                 if self.smc_enable {
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
@@ -2160,7 +2145,7 @@ megaflows installed: {}
                     }
                     if let Some(rw) = v.nat {
                         coverage!("dpif_ct_nat");
-                        ovs_kernel::conntrack::apply_rewrite(pkt.data_mut(), &rw);
+                        ovs_ct::apply_rewrite(pkt.data_mut(), &rw);
                         let c = kernel.sim.costs.csum_ns(pkt.len());
                         kernel.sim.charge(core, Context::User, c);
                     }
@@ -2502,19 +2487,23 @@ impl DpifNetlink {
                 r.credit(1, u.frame.len() as u64);
             }
             let kactions = map_actions(&t.actions, self.tunnel_local_ip);
-            if self.revalidator.should_install(kernel.ovs.flow_count()) {
-                let now = kernel.sim.clock.now_ns();
-                kernel
-                    .ovs
-                    .install_flow_at(&u.key, &t.mask, kactions.clone(), now);
-                self.revalidator.register(Ukey::new(
-                    u.key.masked(&t.mask),
-                    t.mask,
-                    kactions.clone(),
-                    t.rules,
-                    now,
-                ));
-            } else {
+            let now = kernel.sim.clock.now_ns();
+            let ip = self.tunnel_local_ip;
+            let mut flows = DpFlows {
+                table: kernel.ovs.flows_mut(),
+                ofproto: &mut self.ofproto,
+                dp_actions: &|actions| map_actions(&actions, ip),
+                deleted: None,
+            };
+            let installed = self.revalidator.install(
+                &mut flows,
+                &u.key,
+                t.mask,
+                kactions.clone(),
+                t.rules,
+                now,
+            );
+            if installed.is_none() {
                 self.flow_limit_hits += 1;
                 coverage!("flow_limit_hit");
             }
@@ -2534,7 +2523,13 @@ impl DpifNetlink {
     /// scenario flows) have no ukey and are neither dumped nor evicted; a
     /// ukey whose kernel flow is gone (flushed) is forgotten.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
-        let mut flows = KernelFlows(&mut kernel.ovs, &mut self.ofproto, self.tunnel_local_ip);
+        let ip = self.tunnel_local_ip;
+        let mut flows = DpFlows {
+            table: kernel.ovs.flows_mut(),
+            ofproto: &mut self.ofproto,
+            dp_actions: &|actions| map_actions(&actions, ip),
+            deleted: None,
+        };
         // The kernel datapath is never restored from a snapshot.
         let restore = RestoreState::default();
         self.revalidator
@@ -2553,67 +2548,18 @@ impl DpifNetlink {
     }
 }
 
-/// The userspace datapath's megaflow table, the OpenFlow tables above it
-/// and the counters a deletion bumps, as the revalidator sees them.
-struct NetdevFlows<'a>(
-    &'a mut MegaflowCache<Vec<DpAction>>,
-    &'a mut Ofproto,
-    &'a mut DpifStats,
-);
-
-impl DpFlowTable<Vec<DpAction>> for NetdevFlows<'_> {
-    fn flow_stats(&self, key: &FlowKey, _mask: &FlowMask) -> Option<FlowStats> {
-        let e = self.0.get(key)?;
-        Some((
-            e.hits.get(),
-            e.bytes.get(),
-            e.used_ns.get(),
-            e.created_ns.get(),
-        ))
-    }
-
-    fn remove_flow(&mut self, key: &FlowKey, _mask: &FlowMask) {
-        if self.0.remove(key) {
-            self.2.flows_deleted += 1;
-        }
-    }
-
-    fn flow_count(&self) -> usize {
-        self.0.len()
-    }
-
-    fn ofproto(&mut self) -> &mut Ofproto {
-        self.1
-    }
-
-    fn dp_actions(&self, actions: Vec<DpAction>) -> Vec<DpAction> {
-        actions
-    }
-}
-
-/// The kernel module's flow table, the OpenFlow tables above it and the
-/// local tunnel endpoint, as the revalidator sees them.
-struct KernelFlows<'a>(&'a mut ovs_kernel::OvsModule, &'a mut Ofproto, [u8; 4]);
-
-impl DpFlowTable<Vec<ovs_kernel::KAction>> for KernelFlows<'_> {
-    fn flow_stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowStats> {
-        self.0.flow_stats(key, mask)
-    }
-
-    fn remove_flow(&mut self, key: &FlowKey, mask: &FlowMask) {
-        self.0.remove_flow(key, mask);
-    }
-
-    fn flow_count(&self) -> usize {
-        self.0.flow_count()
-    }
-
-    fn ofproto(&mut self) -> &mut Ofproto {
-        self.1
-    }
-
-    fn dp_actions(&self, actions: Vec<DpAction>) -> Vec<ovs_kernel::KAction> {
-        map_actions(&actions, self.2)
+/// The userspace datapath's flows as the revalidator sees them: its
+/// deletions bump `flows_deleted`.
+fn netdev_flows<'a>(
+    table: &'a mut MegaflowCache<Vec<DpAction>>,
+    ofproto: &'a mut Ofproto,
+    stats: &'a mut DpifStats,
+) -> DpFlows<'a, Vec<DpAction>> {
+    DpFlows {
+        table,
+        ofproto,
+        dp_actions: &std::convert::identity,
+        deleted: Some(&mut stats.flows_deleted),
     }
 }
 

@@ -5,10 +5,13 @@
 //! crate is that OVS: the three-level flow-caching datapath and the
 //! OpenFlow pipeline above it.
 //!
-//! * [`classifier`] — tuple-space-search classifier: one hash table per
-//!   distinct mask ("subtable"), probed in descending max-priority order.
-//! * [`cache`] — the exact-match cache (EMC) and the megaflow cache that
-//!   make the fast path fast; exactly the structures the eBPF sandbox
+//! * [`classifier`] — the OpenFlow tuple-space-search classifier: one
+//!   hash table per distinct mask ("subtable"), probed in descending
+//!   max-priority order, stage by stage.
+//! * [`cache`] — the exact-match cache (EMC) and signature match cache
+//!   (SMC) in front of the megaflow cache, which lives in `ovs-packet`
+//!   ([`ovs_packet::MegaflowCache`]) because the kernel module's flow
+//!   table is the same table; exactly the structures the eBPF sandbox
 //!   could not express (§2.2.2).
 //! * [`ofproto`] — the OpenFlow-ish multi-table pipeline: priorities,
 //!   goto-table, conntrack with resume tables, tunnel set-field, meters —
@@ -64,7 +67,7 @@ pub mod snapshot;
 pub mod tso;
 pub mod tunnel;
 
-pub use cache::{Emc, MegaflowCache};
+pub use cache::Emc;
 pub use classifier::{Classifier, Rule};
 pub use controller::{ControllerSession, FailMode};
 pub use dpif::{DpAction, DpifNetdev, DpifNetlink, PortNo, PortType, NF_WORK_PORT};

@@ -13,7 +13,7 @@
 
 use crate::dpif::PortNo;
 use crate::ofproto::{OfAction, OfRule};
-use ovs_kernel::conntrack::NatSpec;
+use ovs_ct::NatSpec;
 use ovs_packet::dp_packet::ct_state;
 use ovs_packet::flow::{fields, FlowKey, FlowMask, WORDS};
 use ovs_packet::{EtherType, MacAddr};

@@ -46,7 +46,7 @@ pub enum OfAction {
         zone: u16,
         commit: bool,
         resume_table: u8,
-        nat: Option<ovs_kernel::conntrack::NatSpec>,
+        nat: Option<ovs_ct::NatSpec>,
     },
     /// Rate-limit through a meter.
     Meter(u32),

@@ -24,7 +24,8 @@
 //! flow-limit algorithm, and the one revalidation loop: the sweep, the
 //! re-translation after a `flow_mod` and restored-flow reconciliation.
 //! Like udpif it sees a datapath only through a narrow interface, the
-//! crate-private `DpFlowTable` trait, so the same loop sweeps
+//! crate-private `DpFlows` (the shared megaflow table, the OpenFlow
+//! tables and the datapath's action language), so the same loop sweeps
 //! [`DpifNetdev`](crate::dpif::DpifNetdev::revalidate) and
 //! [`DpifNetlink`](crate::dpif::DpifNetlink::revalidate).
 
@@ -32,28 +33,50 @@ use crate::dpif::DpAction;
 use crate::ofproto::{Ofproto, RuleChange, RuleEntry, MAX_TABLE_HOPS};
 use crate::snapshot::RestoreState;
 use ovs_obs::coverage;
-use ovs_packet::{FlowKey, FlowMask};
+use ovs_packet::{FlowKey, FlowMask, MegaflowCache, MegaflowEntry};
 use ovs_sim::{Context, SimCtx};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A datapath flow's `(packets, bytes, used_ns, created_ns)`.
-pub(crate) type FlowStats = (u64, u64, u64, u64);
+type FlowStats = (u64, u64, u64, u64);
 
-/// A datapath's view of its own flow table — all the revalidation loop
-/// needs, like udpif's `dpif_flow_dump`/`dpif_operate`. Flows are named
-/// by their masked key and the mask they were installed under.
-pub(crate) trait DpFlowTable<A> {
-    /// An installed flow's stats, or `None` if it is gone.
-    fn flow_stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowStats>;
-    /// Delete an installed flow.
-    fn remove_flow(&mut self, key: &FlowKey, mask: &FlowMask);
-    /// Flows installed, including any installed without a ukey.
-    fn flow_count(&self) -> usize;
+/// A datapath's flows as the revalidator sees them — all the loop needs,
+/// like udpif's `dpif_flow_dump`/`dpif_operate`. Both datapaths keep
+/// their megaflows in the same [`MegaflowCache`], where a flow is named
+/// by its masked key and the mask it was installed under; they differ
+/// only in their action language and in counting deletions.
+pub(crate) struct DpFlows<'a, A> {
+    /// The datapath's megaflow table.
+    pub(crate) table: &'a mut MegaflowCache<A>,
     /// The OpenFlow tables the flows are translated against.
-    fn ofproto(&mut self) -> &mut Ofproto;
-    /// Translated actions in this datapath's action language.
-    fn dp_actions(&self, actions: Vec<DpAction>) -> A;
+    pub(crate) ofproto: &'a mut Ofproto,
+    /// Translated actions in the datapath's action language.
+    pub(crate) dp_actions: &'a dyn Fn(Vec<DpAction>) -> A,
+    /// Bumped once per flow deleted (`dpif-netdev`'s `flows_deleted`).
+    pub(crate) deleted: Option<&'a mut u64>,
+}
+
+impl<A> DpFlows<'_, A> {
+    /// An installed flow's stats, or `None` if it is gone.
+    fn stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowStats> {
+        let e = self.table.get(key, mask)?;
+        Some((
+            e.hits.get(),
+            e.bytes.get(),
+            e.used_ns.get(),
+            e.created_ns.get(),
+        ))
+    }
+
+    /// Delete an installed flow.
+    fn remove(&mut self, key: &FlowKey, mask: &FlowMask) {
+        if self.table.remove(key, mask) {
+            if let Some(n) = self.deleted.as_deref_mut() {
+                *n += 1;
+            }
+        }
+    }
 }
 
 /// Revalidation tunables. Defaults mirror OVS: 10 s idle timeout
@@ -468,16 +491,16 @@ impl<A> Revalidator<A> {
 }
 
 impl<A: PartialEq> Revalidator<A> {
-    /// One round of OVS's `udpif_revalidator` loop over `table`: dump
+    /// One round of OVS's `udpif_revalidator` loop over `flows`: dump
     /// every ukey, delete flows idle, past the hard timeout or translated
     /// differently now, and evict LRU-first down to the flow limit. Once
     /// `restore`'s gate is down, a budget of restored flows per round is
     /// re-translated and adopted or deleted as orphans. `housekeeping`
     /// runs last, inside the dump duration [`note_dump`](Self::note_dump)
     /// folds into the limit.
-    pub(crate) fn sweep<T: DpFlowTable<A>>(
+    pub(crate) fn sweep(
         &mut self,
-        table: &mut T,
+        flows: &mut DpFlows<'_, A>,
         sim: &mut SimCtx,
         core: usize,
         restore: &RestoreState,
@@ -486,7 +509,7 @@ impl<A: PartialEq> Revalidator<A> {
         let busy_ns = |sim: &SimCtx| sim.cpus.core(core).total_ns().round() as u64;
         let t0 = busy_ns(sim);
         let now = sim.clock.now_ns();
-        let n_flows = table.flow_count();
+        let n_flows = flows.table.len();
         let max_idle = self.effective_max_idle_ns(n_flows);
         let hard = self.hard_timeout_ns();
         let kill_all = n_flows > 2 * self.flow_limit;
@@ -498,7 +521,7 @@ impl<A: PartialEq> Revalidator<A> {
             self.stats.flows_dumped += 1;
             summary.dumped += 1;
             sim.charge(core, Context::User, sim.costs.revalidate_flow_ns);
-            let Some((packets, bytes, used, created)) = self.dump(table, &k) else {
+            let Some((packets, bytes, used, created)) = self.dump(flows, &k) else {
                 continue;
             };
             // A restored flow has no rule refs to judge it by until it is
@@ -509,7 +532,7 @@ impl<A: PartialEq> Revalidator<A> {
                     continue;
                 }
                 reconciled += 1;
-                let (adopted, tables) = self.retranslate_flow(table, &k, (packets, bytes), true);
+                let (adopted, tables) = self.retranslate_flow(flows, &k, (packets, bytes), true);
                 let c = tables as f64 * sim.costs.upcall_per_table_ns;
                 sim.charge(core, Context::User, c);
                 if adopted {
@@ -518,7 +541,7 @@ impl<A: PartialEq> Revalidator<A> {
                 } else {
                     coverage!("restore_orphaned");
                     summary.orphaned += 1;
-                    self.delete_flow(table, &k);
+                    self.delete_flow(flows, &k);
                 }
                 continue;
             }
@@ -528,17 +551,17 @@ impl<A: PartialEq> Revalidator<A> {
                 DeleteReason::Idle
             } else if hard > 0 && now.saturating_sub(created) > hard {
                 DeleteReason::Hard
-            } else if self.retranslate_flow(table, &k, (packets, bytes), false).0 {
+            } else if self.retranslate_flow(flows, &k, (packets, bytes), false).0 {
                 continue;
             } else {
                 DeleteReason::Changed
             };
             summary.count_delete(reason);
-            self.delete_flow(table, &k);
+            self.delete_flow(flows, &k);
         }
 
         // Still over the limit: evict by (used, key hash), LRU first.
-        if table.flow_count() > self.flow_limit {
+        if flows.table.len() > self.flow_limit {
             let mut lru: Vec<(u64, u64, FlowKey)> = self
                 .ukeys
                 .values()
@@ -546,15 +569,15 @@ impl<A: PartialEq> Revalidator<A> {
                 // forwarding state there is — never evict them.
                 .filter(|uk| !(restore.wait && uk.restored))
                 .filter_map(|uk| {
-                    let (_, _, used, _) = table.flow_stats(&uk.key, &uk.mask)?;
+                    let (_, _, used, _) = flows.stats(&uk.key, &uk.mask)?;
                     Some((used, uk.key.hash(), uk.key))
                 })
                 .collect();
             lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
-            let excess = table.flow_count() - self.flow_limit;
+            let excess = flows.table.len() - self.flow_limit;
             for (_, _, k) in lru.into_iter().take(excess) {
                 summary.count_delete(DeleteReason::Evicted);
-                self.delete_flow(table, &k);
+                self.delete_flow(flows, &k);
             }
         }
 
@@ -571,16 +594,16 @@ impl<A: PartialEq> Revalidator<A> {
     /// charging modeled time. Returns the number deleted. The masked key
     /// is enough: a megaflow's mask covers every field its translation
     /// consulted, so it takes the path of any packet the megaflow matches.
-    pub(crate) fn retranslate<T: DpFlowTable<A>>(
+    pub(crate) fn retranslate(
         &mut self,
-        table: &mut T,
+        flows: &mut DpFlows<'_, A>,
         changes: Option<&[RuleChange]>,
     ) -> usize {
         let keys: Vec<FlowKey> = self
             .ukeys
             .values()
             .filter(|uk| {
-                changes.is_none_or(|c| uk.reached_by(table.ofproto().resume_point(&uk.key), c))
+                changes.is_none_or(|c| uk.reached_by(flows.ofproto.resume_point(&uk.key), c))
             })
             .map(|uk| uk.key)
             .collect();
@@ -588,12 +611,12 @@ impl<A: PartialEq> Revalidator<A> {
         for k in keys {
             coverage!("revalidate_flow");
             self.stats.flows_dumped += 1;
-            let Some((packets, bytes, _, _)) = self.dump(table, &k) else {
+            let Some((packets, bytes, _, _)) = self.dump(flows, &k) else {
                 continue;
             };
-            if !self.retranslate_flow(table, &k, (packets, bytes), false).0 {
+            if !self.retranslate_flow(flows, &k, (packets, bytes), false).0 {
                 summary.count_delete(DeleteReason::Changed);
-                self.delete_flow(table, &k);
+                self.delete_flow(flows, &k);
             }
         }
         self.stats.add_deleted(&summary);
@@ -602,8 +625,8 @@ impl<A: PartialEq> Revalidator<A> {
 
     /// A ukey's flow stats, or `None` (and the ukey forgotten) if its
     /// datapath flow has vanished.
-    fn dump<T: DpFlowTable<A>>(&mut self, table: &T, key: &FlowKey) -> Option<FlowStats> {
-        let stats = table.flow_stats(key, &self.ukeys.get(key)?.mask);
+    fn dump(&mut self, flows: &DpFlows<'_, A>, key: &FlowKey) -> Option<FlowStats> {
+        let stats = flows.stats(key, &self.ukeys.get(key)?.mask);
         if stats.is_none() {
             self.forget(key);
         }
@@ -615,16 +638,16 @@ impl<A: PartialEq> Revalidator<A> {
     /// restored one also credits the new rules its packets since the
     /// snapshot. Returns whether it is fresh (the caller deletes it if
     /// not) and the tables the translation visited.
-    fn retranslate_flow<T: DpFlowTable<A>>(
+    fn retranslate_flow(
         &mut self,
-        table: &mut T,
+        flows: &mut DpFlows<'_, A>,
         key: &FlowKey,
         (packets, bytes): (u64, u64),
         adopt: bool,
     ) -> (bool, u32) {
         self.push_stats(key, packets, bytes);
-        let t = table.ofproto().translate(key);
-        let actions = table.dp_actions(t.actions);
+        let t = flows.ofproto.translate(key);
+        let actions = (flows.dp_actions)(t.actions);
         let fresh = |uk: &&mut Ukey<A>| uk.actions == actions && uk.mask == t.mask;
         let Some(uk) = self.ukeys.get_mut(key).filter(fresh) else {
             return (false, t.tables_visited);
@@ -639,13 +662,43 @@ impl<A: PartialEq> Revalidator<A> {
 
     /// Delete a flow, pushing its outstanding stats first so its counters
     /// survive it, and forget its ukey.
-    pub(crate) fn delete_flow<T: DpFlowTable<A>>(&mut self, table: &mut T, key: &FlowKey) {
-        if let Some((packets, bytes, _, _)) = self.dump(table, key) {
+    pub(crate) fn delete_flow(&mut self, flows: &mut DpFlows<'_, A>, key: &FlowKey) {
+        if let Some((packets, bytes, _, _)) = self.dump(flows, key) {
             self.push_stats(key, packets, bytes);
             if let Some(uk) = self.forget(key) {
-                table.remove_flow(key, &uk.mask);
+                flows.remove(key, &uk.mask);
             }
         }
+    }
+
+    /// Install a translated flow through `flows` and register its ukey,
+    /// unless the flow limit forbids it (`None`). A flow installed under
+    /// the same masked key with another mask is deleted first, its stats
+    /// pushed, so every installed flow keeps exactly one ukey.
+    pub(crate) fn install(
+        &mut self,
+        flows: &mut DpFlows<'_, A>,
+        key: &FlowKey,
+        mask: FlowMask,
+        actions: A,
+        rules: Vec<Rc<RuleEntry>>,
+        now_ns: u64,
+    ) -> Option<Rc<MegaflowEntry<A>>>
+    where
+        A: Clone,
+    {
+        let masked = key.masked(&mask);
+        if flows.table.contains(&masked) {
+            self.delete_flow(flows, &masked);
+        }
+        if !self.should_install(flows.table.len()) {
+            return None;
+        }
+        let entry = flows
+            .table
+            .install_at(masked, mask, actions.clone(), now_ns);
+        self.register(Ukey::new(masked, mask, actions, rules, now_ns));
+        Some(entry)
     }
 }
 

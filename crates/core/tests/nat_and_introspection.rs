@@ -3,7 +3,7 @@
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::{DpifNetdev, PortType};
 use ovs_core::ofproto::{OfAction, OfRule};
-use ovs_kernel::conntrack::NatSpec;
+use ovs_ct::NatSpec;
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
 use ovs_packet::flow::{fields, FlowKey, FlowMask};

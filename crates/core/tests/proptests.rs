@@ -3,11 +3,11 @@
 //! of its staged `lookup_wc` must be sound and no wider than the masks
 //! it probed, and cache install/lookup must be consistent.
 
-use ovs_core::cache::MegaflowCache;
 use ovs_core::classifier::{Classifier, Rule};
 use ovs_core::meter::Meter;
 use ovs_packet::flow::{fields, Field, FlowKey, FlowMask, WORDS};
 use ovs_packet::MacAddr;
+use ovs_packet::MegaflowCache;
 use proptest::prelude::*;
 
 /// A generated rule: masks restricted to a few plausible shapes so that

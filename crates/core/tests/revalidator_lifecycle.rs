@@ -542,6 +542,54 @@ fn kernel_sweep_forgets_flows_removed_behind_its_back() {
     assert_eq!(dpif.revalidator.stats.flows_dumped, 5);
 }
 
+/// A kernel upcall whose translation's masked key equals an installed
+/// flow's under another mask replaces that flow the way the userspace
+/// datapath does: the stale flow's stats reach its rules first, and the
+/// kernel keeps exactly one flow per ukey.
+#[test]
+fn kernel_install_over_a_masked_key_collision_replaces_the_stale_flow() {
+    let (mut k, mut dpif, nics) = kernel_setup();
+    let rule = |priority: i32, mask: FlowMask, out_port: u32| {
+        let mut key = FlowKey::default();
+        key.set_in_port(0);
+        OfRule {
+            table: 0,
+            priority,
+            key,
+            mask,
+            actions: vec![OfAction::Output(out_port)],
+            cookie: 0,
+        }
+    };
+    // Flow 1's mask covers vlan_tci, which is zero in its key.
+    let vlan_mask = FlowMask::of_fields(&[&fields::IN_PORT, &fields::VLAN_TCI]);
+    dpif.ofproto.add_rule(rule(10, vlan_mask, 1));
+    k.receive(nics[0], 0, frame(5000));
+    assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
+    k.receive(nics[0], 0, frame(5000));
+    assert!(k.upcalls.is_empty(), "the second packet hits flow 1");
+
+    // Behind the revalidator's back, a higher-priority rule on in_port
+    // alone: a VLAN-tagged packet misses flow 1, and its translation
+    // leaves vlan_tci wildcarded, so its masked key is flow 1's.
+    dpif.ofproto
+        .add_rule(rule(20, FlowMask::of_fields(&[&fields::IN_PORT]), 2));
+    k.receive(nics[0], 0, builder::push_vlan(&frame(5000), 7, 0));
+    assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
+    assert_eq!(k.ovs.flow_count(), 1);
+    assert_eq!(k.ovs.flow_count(), dpif.revalidator.ukey_count());
+    let n_packets = |priority: i32| {
+        dpif.ofproto
+            .iter_rules()
+            .find(|r| r.rule.priority == priority)
+            .map(|r| r.n_packets.get())
+    };
+    assert_eq!(n_packets(10), Some(2), "flow 1's kernel hit was pushed");
+    assert_eq!(n_packets(20), Some(1));
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 2);
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
+}
+
 /// A flow installed straight into the kernel module has no ukey: the
 /// sweep neither dumps it nor evicts it, even over the flow limit.
 #[test]

@@ -164,7 +164,13 @@ const CT_TABLE: u8 = 3;
 /// two subtables of a table never share a max priority. Translation then
 /// never depends on the hit-count ranking within a priority tier, so the
 /// two datapaths, which make different numbers of lookups, must agree.
-const SHAPES: u8 = 9;
+///
+/// Shapes 9 (L2 only) and 10 (L2, L3 and L4) separate the lookup stages:
+/// a staged probe of shape 10 can stop at `dl_src` while other subtables
+/// un-wildcard `tp_dst`, leaving a flow that holds a later stage of the
+/// mask without an earlier one — the case `RuleChange::reaches` must
+/// judge by stage prefix.
+const SHAPES: u8 = 11;
 
 fn shape_match(shape: u8, v: u8) -> String {
     match shape {
@@ -180,9 +186,17 @@ fn shape_match(shape: u8, v: u8) -> String {
             v % 3,
             7000 + u16::from(v / 3 % 3)
         ),
-        _ => format!(
+        8 => format!(
             "ct_state=+trk{}est",
             if v.is_multiple_of(2) { '+' } else { '-' }
+        ),
+        9 => format!("dl_src=02:00:00:00:09:0{}", 8 + v % 2),
+        _ => format!(
+            "udp,dl_src=02:00:00:00:09:0{},nw_dst=10.0.{}.{},tp_dst={}",
+            8 + v % 2,
+            v / 2 % 2,
+            1 + v / 4 % 2,
+            7000 + u16::from(v / 8 % 3)
         ),
     }
 }

@@ -11,8 +11,9 @@
 //!   allocation, `XDP_REDIRECT` into AF_XDP sockets ([`xsk`]) or other
 //!   devices, then the skb path into the stack or the OVS kernel module;
 //! * **the OVS kernel datapath** ([`ovs_module`]) — the baseline the paper
-//!   is moving away from: megaflow table, upcalls, actions including
-//!   Geneve tunnelling and conntrack ([`conntrack`]);
+//!   is moving away from: the megaflow table it shares with the userspace
+//!   datapath (`ovs_packet::MegaflowCache`), upcalls, actions including
+//!   Geneve tunnelling and conntrack (`ovs_ct`);
 //! * **rtnetlink and the standard tools** ([`rtnetlink`], [`tools`]):
 //!   `ip link/addr/route/neigh`, `ping`, `arping`, `nstat`, `tcpdump` —
 //!   which keep working with kernel- and AF_XDP-managed NICs and fail on
@@ -20,7 +21,6 @@
 //! * **containers and guests** ([`namespace`], [`guest`]): network
 //!   namespaces behind veth pairs, VMs behind tap/vhost-net or vhostuser.
 
-pub mod conntrack;
 pub mod dev;
 pub mod guest;
 pub mod kernel;
@@ -32,7 +32,6 @@ pub mod rtnetlink;
 pub mod tools;
 pub mod xsk;
 
-pub use conntrack::{ConnKey, CtAction, CtTable};
 pub use dev::{
     Attachment, DevStats, DeviceKind, NetDevice, NtupleRule, OffloadCaps, Owner, XdpAttachment,
     XdpMode,

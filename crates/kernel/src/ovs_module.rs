@@ -3,19 +3,28 @@
 //!
 //! Faithful to the upstream module's structure: a set of **vports**
 //! (netdev ports, Geneve tunnel vports, the internal port), a **megaflow
-//! table** (a list of masks, each with a hash table of masked keys —
-//! lookup probes every mask until one hits), **upcalls** to userspace on
-//! miss, and an action set including output, VLAN push/pop, tunnel
-//! set/encap/decap, connection tracking, and recirculation.
+//! table**, **upcalls** to userspace on miss, and an action set including
+//! output, VLAN push/pop, tunnel set/encap/decap, connection tracking,
+//! and recirculation.
+//!
+//! The megaflow table is [`ovs_packet::MegaflowCache`], the same table
+//! `dpif-netdev` classifies with: one hash table of masked keys per mask,
+//! probed until one hits. Masks are probed in ranked order, re-sorted by
+//! hit count, as Linux's `ovs_flow_masks_rebalance()`
+//! (`net/openvswitch/flow_table.c`) re-sorts the mask array by usage; the
+//! probes are counted in [`ModStats::masks_probed`].
 
-use crate::conntrack::{ConnKey, CtAction, CtTable};
 use crate::neigh::NeighTable;
 use crate::route::RouteTable;
+use ovs_ct::{ConnKey, CtAction, CtTable};
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
 use ovs_packet::flow::extract_flow_key;
-use ovs_packet::{builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr};
-use std::collections::HashMap;
+use ovs_packet::{
+    builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr, MegaflowCache,
+    MegaflowEntry,
+};
+use std::rc::Rc;
 
 /// Maximum recirculations before the module drops a packet (loop guard,
 /// as in the real datapath).
@@ -57,7 +66,7 @@ pub enum KAction {
         zone: u16,
         commit: bool,
         mark: Option<u32>,
-        nat: Option<crate::conntrack::NatSpec>,
+        nat: Option<ovs_ct::NatSpec>,
     },
     /// Recirculate with a new recirc id (re-extract, re-lookup).
     Recirc(u32),
@@ -126,31 +135,12 @@ pub struct ModStats {
     pub tunnel_decaps: u64,
 }
 
-/// One megaflow.
-#[derive(Debug, Clone)]
-struct Megaflow {
-    actions: Vec<KAction>,
-    /// Packet hit counter (visible via `ovs-dpctl dump-flows` analogues).
-    hits: u64,
-    /// Bytes forwarded.
-    bytes: u64,
-    /// Sim-time of the last hit (`used`).
-    used_ns: u64,
-    /// Sim-time of installation.
-    created_ns: u64,
-}
-
 /// The kernel datapath.
 #[derive(Debug, Default)]
 pub struct OvsModule {
     vports: Vec<Vport>,
-    /// Mask list; each lookup probes masks in insertion order.
-    masks: Vec<FlowMask>,
-    /// Flows referencing each mask; a mask with zero references is dead
-    /// (skipped by lookup, reusable by install).
-    mask_refs: Vec<usize>,
-    /// Flows keyed by `(mask index, masked key)`.
-    flows: HashMap<(usize, FlowKey), Megaflow>,
+    /// The megaflow table.
+    flows: MegaflowCache<Vec<KAction>>,
     /// Statistics.
     pub stats: ModStats,
 }
@@ -183,14 +173,20 @@ impl OvsModule {
         })
     }
 
+    /// The megaflow table, for a control plane that installs and
+    /// revalidates through it directly.
+    pub fn flows_mut(&mut self) -> &mut MegaflowCache<Vec<KAction>> {
+        &mut self.flows
+    }
+
     /// Install a megaflow with creation time 0 (pre-warmed static flows;
     /// the upcall path uses [`install_flow_at`](Self::install_flow_at)).
     pub fn install_flow(&mut self, key: &FlowKey, mask: &FlowMask, actions: Vec<KAction>) {
         self.install_flow_at(key, mask, actions, 0);
     }
 
-    /// Install a megaflow at sim-time `now_ns`. The mask is added to the
-    /// mask list if new (dead masks' slots are reused first).
+    /// Install a megaflow at sim-time `now_ns`, replacing any flow with
+    /// the same masked key.
     pub fn install_flow_at(
         &mut self,
         key: &FlowKey,
@@ -198,62 +194,28 @@ impl OvsModule {
         actions: Vec<KAction>,
         now_ns: u64,
     ) {
-        let mask_idx = match self.masks.iter().position(|m| m == mask) {
-            Some(i) => i,
-            None => match self.mask_refs.iter().position(|r| *r == 0) {
-                Some(i) => {
-                    self.masks[i] = *mask;
-                    i
-                }
-                None => {
-                    self.masks.push(*mask);
-                    self.mask_refs.push(0);
-                    self.masks.len() - 1
-                }
-            },
-        };
-        let old = self.flows.insert(
-            (mask_idx, key.masked(mask)),
-            Megaflow {
-                actions,
-                hits: 0,
-                bytes: 0,
-                used_ns: now_ns,
-                created_ns: now_ns,
-            },
-        );
-        if old.is_none() {
-            self.mask_refs[mask_idx] += 1;
-        }
+        self.flows.install_at(*key, *mask, actions, now_ns);
     }
 
-    /// Remove one megaflow; releases its mask reference. Returns whether
-    /// the flow existed.
+    /// Remove one megaflow. Returns whether the flow existed.
     pub fn remove_flow(&mut self, key: &FlowKey, mask: &FlowMask) -> bool {
-        let Some(mask_idx) = self.masks.iter().position(|m| m == mask) else {
-            return false;
-        };
-        if self.flows.remove(&(mask_idx, key.masked(mask))).is_some() {
-            self.mask_refs[mask_idx] = self.mask_refs[mask_idx].saturating_sub(1);
-            true
-        } else {
-            false
-        }
+        self.flows.remove(key, mask)
     }
 
     /// A flow's `(packets, bytes, used_ns, created_ns)`, if installed.
     pub fn flow_stats(&self, key: &FlowKey, mask: &FlowMask) -> Option<(u64, u64, u64, u64)> {
-        let mask_idx = self.masks.iter().position(|m| m == mask)?;
-        self.flows
-            .get(&(mask_idx, key.masked(mask)))
-            .map(|f| (f.hits, f.bytes, f.used_ns, f.created_ns))
+        let f = self.flows.get(key, mask)?;
+        Some((
+            f.hits.get(),
+            f.bytes.get(),
+            f.used_ns.get(),
+            f.created_ns.get(),
+        ))
     }
 
     /// Remove all flows (`ovs-dpctl del-flows`).
     pub fn flush_flows(&mut self) {
-        self.flows.clear();
-        self.masks.clear();
-        self.mask_refs.clear();
+        self.flows.flush();
     }
 
     /// Number of installed megaflows.
@@ -261,9 +223,9 @@ impl OvsModule {
         self.flows.len()
     }
 
-    /// Number of live (referenced) masks.
+    /// Number of masks in use.
     pub fn mask_count(&self) -> usize {
-        self.mask_refs.iter().filter(|r| **r > 0).count()
+        self.flows.subtable_count()
     }
 
     /// `ovs-dpctl dump-flows` equivalent for the kernel datapath, with
@@ -274,19 +236,21 @@ impl OvsModule {
         let mut lines: Vec<String> = self
             .flows
             .iter()
-            .map(|((mask_idx, key), flow)| {
-                let used = if flow.hits == 0 {
+            .map(|flow| {
+                let hits = flow.hits.get();
+                let used = if hits == 0 {
                     "never".to_string()
                 } else {
-                    format!("{:.3}s", now_ns.saturating_sub(flow.used_ns) as f64 / 1e9)
+                    let age = now_ns.saturating_sub(flow.used_ns.get());
+                    format!("{:.3}s", age as f64 / 1e9)
                 };
                 format!(
-                    "in_port({}),recirc({}) mask#{} packets:{} bytes:{} used:{} actions:{:?}",
-                    key.in_port(),
-                    key.recirc_id(),
-                    mask_idx,
-                    flow.hits,
-                    flow.bytes,
+                    "in_port({}),recirc({}) mask_bits:{} packets:{} bytes:{} used:{} actions:{:?}",
+                    flow.key.in_port(),
+                    flow.key.recirc_id(),
+                    flow.mask.bit_count(),
+                    hits,
+                    flow.bytes.get(),
                     used,
                     flow.actions
                 )
@@ -300,29 +264,36 @@ impl OvsModule {
         out
     }
 
-    /// Megaflow lookup: probe each live mask's table. Returns the
-    /// actions; `len`/`now_ns` feed the hit flow's counters.
-    fn lookup(&mut self, key: &FlowKey, len: usize, now_ns: u64) -> Option<Vec<KAction>> {
+    /// Megaflow lookup, probing masks in ranked order. Returns the hit
+    /// flow's actions; `len`/`now_ns` feed its counters.
+    fn lookup(
+        &mut self,
+        key: &FlowKey,
+        len: usize,
+        now_ns: u64,
+    ) -> Option<Rc<MegaflowEntry<Vec<KAction>>>> {
         self.stats.lookups += 1;
         coverage!("kmod_flow_lookup");
-        for (i, mask) in self.masks.iter().enumerate() {
-            if self.mask_refs[i] == 0 {
-                continue;
-            }
-            self.stats.masks_probed += 1;
-            coverage!("kmod_mask_probe");
-            if let Some(flow) = self.flows.get_mut(&(i, key.masked(mask))) {
-                flow.hits += 1;
-                flow.bytes += len as u64;
-                flow.used_ns = now_ns;
+        let probed_before = self.flows.subtables_probed();
+        let hit = self.flows.lookup(key);
+        let probed = self.flows.subtables_probed() - probed_before;
+        self.stats.masks_probed += probed;
+        if probed > 0 {
+            coverage!("kmod_mask_probe", probed);
+        }
+        match hit {
+            Some(flow) => {
+                flow.note_use(len, now_ns);
                 self.stats.hits += 1;
                 coverage!("kmod_megaflow_hit");
-                return Some(flow.actions.clone());
+                Some(flow)
+            }
+            None => {
+                self.stats.misses += 1;
+                coverage!("kmod_megaflow_miss");
+                None
             }
         }
-        self.stats.misses += 1;
-        coverage!("kmod_megaflow_miss");
-        None
     }
 
     /// Process one frame received on a bridge-attached device.
@@ -389,7 +360,7 @@ impl OvsModule {
                 return out;
             }
             let key = extract_flow_key(&mut pkt);
-            let Some(actions) = self.lookup(&key, pkt.len(), env.now_ns) else {
+            let Some(flow) = self.lookup(&key, pkt.len(), env.now_ns) else {
                 out.push(DpVerdict::Upcall(Upcall {
                     in_port: pkt.in_port,
                     key,
@@ -399,7 +370,7 @@ impl OvsModule {
                 return out;
             };
             let mut tunnel_out = None;
-            match self.apply_actions(&mut pkt, &actions, &mut tunnel_out, env, &mut out) {
+            match self.apply_actions(&mut pkt, &flow.actions, &mut tunnel_out, env, &mut out) {
                 Some(recirc_id) => {
                     self.stats.recirculations += 1;
                     coverage!("kmod_recirc");
@@ -489,7 +460,7 @@ impl OvsModule {
                     pkt.ct_zone = *zone;
                     pkt.ct_mark = v.mark;
                     if let Some(rw) = v.nat {
-                        crate::conntrack::apply_rewrite(pkt.data_mut(), &rw);
+                        ovs_ct::apply_rewrite(pkt.data_mut(), &rw);
                     }
                 }
                 KAction::Recirc(id) => return Some(*id),
@@ -887,15 +858,48 @@ mod tests {
     }
 
     #[test]
-    fn mask_sharing() {
+    fn hot_mask_is_probed_first_after_skewed_traffic() {
+        use ovs_packet::megaflow::DEFAULT_RANK_INTERVAL;
         let mut m = OvsModule::new();
-        let mask = FlowMask::of_fields(&[&fields::NW_DST]);
-        for i in 0..10u8 {
-            let mut k = FlowKey::default();
-            k.set_nw_dst_v4([10, 0, 0, i]);
-            m.install_flow(&k, &mask, vec![KAction::Drop]);
+        let p0 = m.add_vport(Vport::Netdev { ifindex: 1 });
+        m.add_vport(Vport::Netdev { ifindex: 2 });
+        let flow = |m: &mut OvsModule, dst: [u8; 4], plen: u8, actions: Vec<KAction>| {
+            let mut key = FlowKey::default();
+            key.set_in_port(p0);
+            key.set_nw_dst_v4(dst);
+            let mut mask = FlowMask::of_fields(&[&fields::IN_PORT]);
+            mask.set_nw_dst_v4_prefix(plen);
+            m.install_flow(&key, &mask, actions);
+        };
+        // Seven cold masks installed ahead of the hot flow's.
+        for plen in 25..32u8 {
+            flow(&mut m, [192, 168, plen, 0], plen, vec![KAction::Drop]);
         }
-        assert_eq!(m.flow_count(), 10);
-        assert_eq!(m.mask_count(), 1, "identical masks are shared");
+        flow(&mut m, [10, 0, 0, 2], 32, vec![KAction::Output(1)]);
+        assert_eq!(m.mask_count(), 8);
+
+        let routes = RouteTable::new();
+        let neigh = NeighTable::new();
+        let mut ct = CtTable::new();
+        let macs = [];
+        let mut env = test_env(&routes, &neigh, &mut ct, &macs);
+        let f = frame([10, 0, 0, 2]);
+        let want = vec![DpVerdict::Emit {
+            ifindex: 2,
+            frame: f.clone(),
+        }];
+        let mut probes = Vec::new();
+        for _ in 0..2 * DEFAULT_RANK_INTERVAL {
+            let before = m.stats.masks_probed;
+            assert_eq!(m.receive(f.clone(), 1, &mut env), want);
+            probes.push(m.stats.masks_probed - before);
+        }
+        let (cold, ranked) = probes.split_at(DEFAULT_RANK_INTERVAL as usize - 1);
+        assert!(
+            cold.iter().all(|&p| p == 8),
+            "insertion order: hot mask last"
+        );
+        assert!(ranked.iter().all(|&p| p == 1), "ranked: hot mask first");
+        assert_eq!(m.stats.hits, 2 * DEFAULT_RANK_INTERVAL);
     }
 }

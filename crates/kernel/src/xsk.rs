@@ -42,7 +42,7 @@ pub struct XskBinding {
     /// `need_wakeup` flag: when set, the kernel requires a syscall kick to
     /// start TX processing (the overhead §5.5 measured).
     pub need_wakeup: bool,
-    /// Preferred busy polling (the [64] patch set the paper expects to
+    /// Preferred busy polling (the \[64\] patch set the paper expects to
     /// reduce softirq cost): when set, kernel-side XSK work executes
     /// inline on this application core instead of a separate softirq
     /// thread — same work, no extra hyperthread.

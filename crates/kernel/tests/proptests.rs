@@ -1,7 +1,7 @@
 //! Property tests for the kernel substrate: conntrack invariants, and
 //! total robustness of the RX path against arbitrary bytes.
 
-use ovs_kernel::conntrack::{apply_rewrite, ConnKey, CtAction, CtTable, NatRewrite, NatSpec};
+use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatRewrite, NatSpec};
 use ovs_kernel::dev::{DeviceKind, NetDevice, XdpMode};
 use ovs_kernel::Kernel;
 use ovs_packet::dp_packet::ct_state;

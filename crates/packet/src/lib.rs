@@ -19,6 +19,10 @@
 //!   bitmap + packed non-zero words, OVS's `struct miniflow`) that the fast
 //!   path extracts, hashes, and matches on; a full [`FlowKey`] is only
 //!   expanded on the upcall/miss path.
+//! * [`MegaflowCache`] — the priority-free megaflow table over those sparse
+//!   keys, with ranked subtables and a wide-lane bulk probe. It lives here,
+//!   below both datapaths, so the kernel module's flow table and
+//!   `dpif-netdev`'s dpcls are one implementation.
 //!
 //! Supported protocols: Ethernet II, 802.1Q VLAN, ARP, IPv4, IPv6, TCP,
 //! UDP, ICMPv4, and the tunnel encapsulations the paper's NSX deployment
@@ -36,6 +40,7 @@ pub mod icmp;
 pub mod ipv4;
 pub mod ipv6;
 pub mod mac;
+pub mod megaflow;
 pub mod tcp;
 pub mod udp;
 pub mod vlan;
@@ -45,6 +50,7 @@ pub use dp_packet::{DpPacket, OffloadFlags};
 pub use ethernet::{EtherType, EthernetFrame};
 pub use flow::{extract_flow_key, extract_miniflow, FlowKey, FlowMask, MiniMask, Miniflow};
 pub use mac::MacAddr;
+pub use megaflow::{MegaflowCache, MegaflowEntry};
 
 /// Error returned when a buffer is too short or a field is malformed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

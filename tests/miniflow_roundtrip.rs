@@ -7,9 +7,10 @@
 //! which is exactly what makes the miniflow-native EMC/SMC/dpcls hit
 //! path equivalent to the old full-key one.
 
-use ovs_afxdp_repro::ovs::cache::{Emc, MegaflowEntry, Smc};
+use ovs_afxdp_repro::ovs::cache::{Emc, Smc};
 use ovs_afxdp_repro::packet::dp_packet::TunnelMetadata;
 use ovs_afxdp_repro::packet::flow::WORDS;
+use ovs_afxdp_repro::packet::MegaflowEntry;
 use ovs_afxdp_repro::packet::{
     builder, extract_flow_key, extract_miniflow, DpPacket, FlowMask, MacAddr, MiniMask, Miniflow,
 };
